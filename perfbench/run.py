@@ -21,7 +21,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("mpc_hyq_reach", "batch_dfd_iiwa", "serve2_hyq_gated")
+WORKLOADS = ("batch_dfd_iiwa", "serve2_hyq_gated")
 RUN_TIMEOUT_S = 170
 
 

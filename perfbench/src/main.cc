@@ -24,9 +24,7 @@ main(int argc, char **argv)
     if (!parseArgs(argc, argv, args))
         return 2;
     Report report;
-    if (args.workload == "mpc_hyq_reach")
-        runMpcHyqReach(args, report);
-    else if (args.workload == "serve2_hyq_gated")
+    if (args.workload == "serve2_hyq_gated")
         runServe2HyqGated(args, report);
     else if (args.workload == "batch_dfd_iiwa")
         runBatchDfdIiwa(args, report);

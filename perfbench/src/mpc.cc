@@ -1,10 +1,10 @@
 /**
  * @file
- * The two closed-loop MPC workloads. Every client is a real
- * receding-horizon iLQR session (ctrl::MpcSession) whose dynamics
- * requests all go through an async DynamicsServer; the plant is
- * stepped with the reference dynamics between ticks, so the loop is
- * closed and each tick waits on the previous one.
+ * serve2_hyq_gated, the closed-loop MPC workload. Every client is a
+ * real receding-horizon iLQR session (ctrl::MpcSession) whose
+ * dynamics requests all go through an async DynamicsServer; the plant
+ * is stepped with the reference dynamics between ticks, so the loop
+ * is closed and each tick waits on the previous one.
  */
 
 #include <barrier>
@@ -49,7 +49,6 @@ constexpr int kReplayTicks = 96;
  * (4-core VM, tier-1 build) so a run takes about that long. The work
  * does not adapt to the measured speed: faster code finishes sooner.
  */
-constexpr int kReachTicksPerSecond = 300;
 constexpr int kServeTicksPerSecond = 300; ///< per client
 /** Plant tracking error allowed over the second half of the run. */
 constexpr double kTrackErrBound = 1.0;
@@ -63,7 +62,6 @@ struct ClientSpec
 struct MpcSetup
 {
     std::vector<ClientSpec> clients;
-    bool two_lanes = false; ///< two 1-thread clones vs one nproc lane
     runtime::sched::SchedConfig sched;
     ctrl::MpcSession::Config session;
     ctrl::IlqrOptions options;
@@ -79,10 +77,11 @@ struct Plant
 };
 
 /**
- * Everything one run of an MPC workload builds: robot, lanes, server,
- * sessions and plants. Building one (priming solves included) is the
- * set-up that setup_s times. Traced rigs wrap every lane in a
- * TimedBackend and turn on the server's metrics registry.
+ * Everything one run of the MPC workload builds: robot, two 1-thread
+ * CPU lanes, server, sessions and plants. Building one (priming
+ * solves included) is the set-up that setup_s times. Traced rigs wrap
+ * every lane in a TimedBackend and turn on the server's metrics
+ * registry.
  */
 class MpcRig
 {
@@ -90,13 +89,11 @@ class MpcRig
     MpcRig(const MpcSetup &setup, SpanLog *spans)
         : robot(model::makeHyq())
     {
-        auto lane0 = std::make_unique<runtime::CpuBatchedBackend>(
-            robot, setup.two_lanes ? 1 : hostThreads());
+        auto lane0 = std::make_unique<runtime::CpuBatchedBackend>(robot, 1);
         threads = lane0->engine().threadCount();
         lane_width = lane0->engine().laneWidth();
         lanes.push_back(std::move(lane0));
-        if (setup.two_lanes)
-            lanes.push_back(lanes[0]->clone());
+        lanes.push_back(lanes[0]->clone());
         runtime::sched::SchedConfig cfg = setup.sched;
         for (std::size_t i = 0; i < lanes.size(); ++i) {
             if (spans) {
@@ -504,21 +501,11 @@ seededPhase(std::uint64_t seed)
 } // namespace
 
 void
-runMpcHyqReach(const Args &args, Report &report)
-{
-    MpcSetup s;
-    s.clients = {{0, seededPhase(args.seed)}};
-    s.ticks_per_client = kReachTicksPerSecond * args.seconds;
-    runMpc(s, args, report);
-}
-
-void
 runServe2HyqGated(const Args &args, Report &report)
 {
     const double phase = seededPhase(args.seed);
     MpcSetup s;
     s.clients = {{0, phase}, {2, phase + 0.7}};
-    s.two_lanes = true;
     s.sched.kind = runtime::sched::PolicyKind::Edf;
     s.sched.coalesce = true;
     s.sched.steal = true;

@@ -14,9 +14,6 @@
 
 namespace perfbench {
 
-/** One HyQ MPC client, reaching scenario, one nproc-thread CPU lane. */
-void runMpcHyqReach(const Args &args, Report &report);
-
 /** Two HyQ MPC clients, gated, EDF + coalesce + steal on two lanes. */
 void runServe2HyqGated(const Args &args, Report &report);
 
