@@ -28,8 +28,9 @@ namespace {
 
 /**
  * Measured host-CPU ∆FD: the seed's allocating single-point loop
- * against the workspace single-point loop and the batched engine
- * (PR 1's zero-allocation batched dynamics). The configurations are
+ * against the workspace single-point loop (the scalar reference) and
+ * the zero-allocation batched engine, at 1 thread (the SoA lane
+ * contribution alone) and at 2/4/8 threads. The configurations are
  * timed in interleaved rounds — one sweep of each per round, best
  * sweep kept — so load spikes hit every configuration alike instead
  * of skewing whichever happened to be running.
@@ -39,7 +40,7 @@ measuredCpuSection(const RobotModel &robot, JsonReport &report)
 {
     banner("measured CPU ∆FD throughput (points/sec), higher is better");
     const int points = 128;
-    const int rounds = 7;
+    const int rounds = 31;
     std::mt19937 rng(17);
     std::vector<linalg::VectorX> qs, qds, taus;
     for (int i = 0; i < points; ++i) {
@@ -50,11 +51,11 @@ measuredCpuSection(const RobotModel &robot, JsonReport &report)
 
     // Environment stamps: the committed numbers are meaningless
     // without them (a 1-core container shows 4t ≈ 1t, and the SoA
-    // speedup depends on the lane width the engines ran at).
+    // speedup depends on the build's lane width).
     const double hw =
         static_cast<double>(std::thread::hardware_concurrency());
     report.add("hardware_concurrency", hw);
-    report.add("lane_width", algo::soa::defaultLaneWidth());
+    report.add("lane_width", algo::soa::kLaneWidth);
 
     algo::DynamicsWorkspace ws(robot);
     algo::FdDerivatives d;
@@ -64,15 +65,9 @@ measuredCpuSection(const RobotModel &robot, JsonReport &report)
         engines.push_back(
             std::make_unique<algo::BatchedDynamics>(robot, threads));
 
-    // Single-thread engines per lane width: the W sweep isolates the
-    // SIMD contribution from threading (W = 1 is the scalar path).
-    std::vector<std::unique_ptr<algo::BatchedDynamics>> lane_engines;
-    const std::vector<int> lane_widths = {1, 4, 8, 16};
-    for (int w : lane_widths) {
-        lane_engines.push_back(
-            std::make_unique<algo::BatchedDynamics>(robot, 1));
-        lane_engines.back()->setLaneWidth(w);
-    }
+    // Single-thread engine: against the workspace loop it isolates
+    // the SIMD lane contribution from threading.
+    algo::BatchedDynamics soa_engine(robot, 1);
 
     // Sweeps: seed loop, workspace loop, one per engine config.
     const auto seed_sweep = [&] {
@@ -103,11 +98,9 @@ measuredCpuSection(const RobotModel &robot, JsonReport &report)
     ws_sweep();
     for (auto &e : engines)
         engine_sweep(*e);
-    for (auto &e : lane_engines)
-        engine_sweep(*e);
-    double seed_us = 0.0, ws_us = 0.0;
+    engine_sweep(soa_engine);
+    double seed_us = 0.0, ws_us = 0.0, soa_us = 0.0;
     std::vector<double> engine_us(engines.size(), 0.0);
-    std::vector<double> lane_us(lane_engines.size(), 0.0);
     for (int rep = 0; rep < rounds; ++rep) {
         double t0 = nowUs();
         seed_sweep();
@@ -126,13 +119,11 @@ measuredCpuSection(const RobotModel &robot, JsonReport &report)
             if (rep == 0 || dt < engine_us[e])
                 engine_us[e] = dt;
         }
-        for (std::size_t e = 0; e < lane_engines.size(); ++e) {
-            t0 = nowUs();
-            engine_sweep(*lane_engines[e]);
-            dt = nowUs() - t0;
-            if (rep == 0 || dt < lane_us[e])
-                lane_us[e] = dt;
-        }
+        t0 = nowUs();
+        engine_sweep(soa_engine);
+        dt = nowUs() - t0;
+        if (rep == 0 || dt < soa_us)
+            soa_us = dt;
     }
 
     const double seed_pps = points / (seed_us * 1e-6);
@@ -141,13 +132,23 @@ measuredCpuSection(const RobotModel &robot, JsonReport &report)
                 "seed single-point loop (1t):", seed_pps);
     report.add("seed_pts_per_sec", seed_pps);
     std::printf("%-34s %12.0f pts/s   (%.2fx seed)\n",
-                "workspace (reused arena, 1t):", ws_pps, ws_pps / seed_pps);
+                "scalar per-point loop (1t):", ws_pps, ws_pps / seed_pps);
     report.add("workspace_1t_pts_per_sec", ws_pps);
+
+    // SoA over scalar on the same thread and points: the
+    // hardware-normalized kernel ratio tools/bench_compare.py gates.
+    const double soa_pps = points / (soa_us * 1e-6);
+    char label[64];
+    std::snprintf(label, sizeof label, "engine 1t, SoA lanes (W=%d):",
+                  algo::soa::kLaneWidth);
+    std::printf("%-34s %12.0f pts/s   (%.2fx seed, %.2fx scalar)\n",
+                label, soa_pps, soa_pps / seed_pps, soa_pps / ws_pps);
+    report.add("soa_1t_pts_per_sec", soa_pps);
+    report.add("soa_speedup", soa_pps / ws_pps);
 
     for (std::size_t e = 0; e < engines.size(); ++e) {
         const int threads = engine_threads[e];
         const double pps = points / (engine_us[e] * 1e-6);
-        char label[64];
         std::snprintf(label, sizeof label, "batched engine (%dt, eff %dt):",
                       threads, engines[e]->threadCount());
         std::printf("%-34s %12.0f pts/s   (%.2fx seed, %.2fx 1t)\n",
@@ -162,21 +163,6 @@ measuredCpuSection(const RobotModel &robot, JsonReport &report)
             report.add("batched_4t_speedup_vs_seed", pps / seed_pps);
             report.add("batched_4t_speedup_vs_1t", pps / ws_pps);
         }
-    }
-
-    for (std::size_t e = 0; e < lane_engines.size(); ++e) {
-        const int w = lane_widths[e];
-        const double pps = points / (lane_us[e] * 1e-6);
-        char label[64];
-        std::snprintf(label, sizeof label,
-                      w == 1 ? "engine 1t, scalar path (W=%d):"
-                             : "engine 1t, SoA lanes (W=%d):",
-                      w);
-        std::printf("%-34s %12.0f pts/s   (%.2fx seed, %.2fx 1t)\n",
-                    label, pps, pps / seed_pps, pps / ws_pps);
-        char key[64];
-        std::snprintf(key, sizeof key, "soa_w%d_1t_pts_per_sec", w);
-        report.add(key, pps);
     }
 }
 

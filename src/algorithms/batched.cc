@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "algorithms/mminv_gen.h"
-#include "algorithms/soa/kernels.h"
 
 namespace dadu::algo {
 
@@ -32,21 +31,13 @@ BatchedDynamics::BatchedDynamics(const RobotModel &robot, int threads)
 
 BatchedDynamics::BatchedDynamics(const RobotModel &robot,
                                  std::shared_ptr<app::ThreadPool> pool)
-    : robot_(robot), pool_(std::move(pool)),
-      lane_width_(soa::defaultLaneWidth())
+    : robot_(robot), pool_(std::move(pool))
 {
     // One workspace per chunk: pool workers plus the calling thread,
     // which participates in runIndexed().
     workspaces_.resize(static_cast<std::size_t>(pool_->threadCount()) + 1);
     for (auto &ws : workspaces_)
         ws.ensure(robot_);
-}
-
-void
-BatchedDynamics::setLaneWidth(int w)
-{
-    if (w == 1 || soa::laneWidthSupported(w))
-        lane_width_ = w;
 }
 
 void
@@ -65,56 +56,53 @@ BatchedDynamics::runChunk(void *ctx, int chunk)
     // ragged remainder through the scalar path. Both mirror the same
     // reference arithmetic, so where the split falls never changes a
     // point's bits.
-    const int w = self->lane_width_;
+    constexpr int w = soa::kLaneWidth;
+    soa::LaneBatch lanes;
+    lanes.mask = soa::LaneBatch::kFullMask;
+    VectorX *qdd_out[w];
+    FdDerivatives *fd_out[w];
+    linalg::MatrixX *minv_out[w];
     int i = begin;
-    if (w > 1) {
-        soa::LaneBatch lanes;
-        lanes.mask = soa::LaneBatch::fullMask(w);
-        VectorX *qdd_out[soa::kMaxLaneWidth];
-        FdDerivatives *fd_out[soa::kMaxLaneWidth];
-        linalg::MatrixX *minv_out[soa::kMaxLaneWidth];
-        for (; i + w <= end; i += w) {
-            for (int l = 0; l < w; ++l) {
-                lanes.q[l] = &self->in_q_[i + l];
-                switch (self->mode_) {
-                  case Mode::Fd:
-                    lanes.qd[l] = &self->in_qd_[i + l];
-                    lanes.tau[l] = &self->in_tau_[i + l];
-                    qdd_out[l] = &self->qdd_out_[i + l];
-                    break;
-                  case Mode::FdDerivatives:
-                    lanes.qd[l] = &self->in_qd_[i + l];
-                    lanes.tau[l] = &self->in_tau_[i + l];
-                    fd_out[l] = &self->fd_out_[i + l];
-                    break;
-                  case Mode::FdGivenAccel:
-                    lanes.qd[l] = &self->in_qd_[i + l];
-                    lanes.qdd[l] = &self->in_tau_[i + l];
-                    lanes.minv[l] = self->in_minv_[i + l];
-                    fd_out[l] = &self->fd_out_[i + l];
-                    break;
-                  case Mode::Minv:
-                    minv_out[l] = &self->minv_out_[i + l];
-                    break;
-                }
-            }
+    for (; i + w <= end; i += w) {
+        for (int l = 0; l < w; ++l) {
+            lanes.q[l] = &self->in_q_[i + l];
             switch (self->mode_) {
               case Mode::Fd:
-                soa::packForwardDynamics(self->robot_, ws, w, lanes,
-                                         qdd_out);
+                lanes.qd[l] = &self->in_qd_[i + l];
+                lanes.tau[l] = &self->in_tau_[i + l];
+                qdd_out[l] = &self->qdd_out_[i + l];
                 break;
               case Mode::FdDerivatives:
-                soa::packFdDerivatives(self->robot_, ws, w, lanes, fd_out,
-                                       self->in_plan_);
+                lanes.qd[l] = &self->in_qd_[i + l];
+                lanes.tau[l] = &self->in_tau_[i + l];
+                fd_out[l] = &self->fd_out_[i + l];
                 break;
               case Mode::FdGivenAccel:
-                soa::packFdGivenAccel(self->robot_, ws, w, lanes, fd_out,
-                                      self->in_plan_);
+                lanes.qd[l] = &self->in_qd_[i + l];
+                lanes.qdd[l] = &self->in_tau_[i + l];
+                lanes.minv[l] = self->in_minv_[i + l];
+                fd_out[l] = &self->fd_out_[i + l];
                 break;
               case Mode::Minv:
-                soa::packMinv(self->robot_, ws, w, lanes, minv_out);
+                minv_out[l] = &self->minv_out_[i + l];
                 break;
             }
+        }
+        switch (self->mode_) {
+          case Mode::Fd:
+            soa::packForwardDynamics(self->robot_, ws, lanes, qdd_out);
+            break;
+          case Mode::FdDerivatives:
+            soa::packFdDerivatives(self->robot_, ws, lanes, fd_out,
+                                   self->in_plan_);
+            break;
+          case Mode::FdGivenAccel:
+            soa::packFdGivenAccel(self->robot_, ws, lanes, fd_out,
+                                  self->in_plan_);
+            break;
+          case Mode::Minv:
+            soa::packMinv(self->robot_, ws, lanes, minv_out);
+            break;
         }
     }
     switch (self->mode_) {

@@ -15,15 +15,15 @@
  * std::function or queue-node allocation, and all outputs are
  * engine-owned storage reused across calls).
  *
- * Within a chunk, points are packed into SIMD lane packs of width W
- * (4, 8 or 16; see src/algorithms/soa/) and evaluated by the
- * lane-parallel SoA kernels, with the ragged remainder falling back
- * to the scalar workspace kernels. The SoA kernels mirror the scalar
- * algorithms expression by expression, so results stay bitwise
- * identical to the single-point reference regardless of lane width
- * or thread count: chunking and packing only change which thread and
- * which register lane (not in which order, per point) the arithmetic
- * runs.
+ * Within a chunk, points are packed into SIMD lane packs of the
+ * build's one lane width (soa::kLaneWidth; see src/algorithms/soa/)
+ * and evaluated by the lane-parallel SoA kernels, with the ragged
+ * remainder falling back to the scalar workspace kernels. The SoA
+ * kernels mirror the scalar algorithms expression by expression, so
+ * results stay bitwise identical to the single-point reference
+ * regardless of thread count or where the remainder split falls:
+ * chunking and packing only change which thread and which register
+ * lane (not in which order, per point) the arithmetic runs.
  */
 
 #ifndef DADU_ALGORITHMS_BATCHED_H
@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "algorithms/dynamics.h"
+#include "algorithms/soa/kernels.h"
 #include "algorithms/workspace.h"
 #include "app/thread_pool.h"
 #include "linalg/matrixx.h"
@@ -154,18 +155,8 @@ class BatchedDynamics
     /** Span overload of batchMinv. */
     const std::vector<linalg::MatrixX> &batchMinv(const VectorX *q, int n);
 
-    /**
-     * Select the SIMD lane width: 4, 8 or 16 routes full packs
-     * through the SoA kernels (remainder scalar); 1 forces the pure
-     * scalar path. The default is soa::defaultLaneWidth() (the
-     * DADU_LANE_WIDTH environment override, else 8). Unsupported
-     * widths are ignored. Outputs are bitwise invariant under this
-     * choice. Not thread-safe against a concurrent batch call.
-     */
-    void setLaneWidth(int w);
-
-    /** Current SIMD lane width (1 = scalar path). */
-    int laneWidth() const { return lane_width_; }
+    /** SIMD lane width of the SoA packs (soa::kLaneWidth). */
+    static constexpr int laneWidth() { return soa::kLaneWidth; }
 
   private:
     enum class Mode
@@ -190,7 +181,6 @@ class BatchedDynamics
     std::atomic<bool> in_dispatch_{false}; ///< misuse guard (debug)
     Mode mode_ = Mode::Fd;
     int n_ = 0;
-    int lane_width_; ///< SIMD pack width (1 = scalar), set in ctor.
     const VectorX *in_q_ = nullptr;
     const VectorX *in_qd_ = nullptr;
     const VectorX *in_tau_ = nullptr;    ///< τ (∆FD) or q̈ (∆iFD)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 
 #include "algorithms/soa/pack.h"
@@ -18,8 +17,10 @@ using linalg::aligned_vector;
 using linalg::Vec6;
 using spatial::SpatialTransform;
 
+/** Every pack in this file is kLaneWidth lanes wide. */
+constexpr int W = kLaneWidth;
+
 /** ∆RNEA cell, lane-packed (mirror of DynamicsWorkspace::DerivCell). */
-template <int W>
 struct PDerivCell
 {
     PVec6<W> dv_dq, dv_dqd;
@@ -28,12 +29,10 @@ struct PDerivCell
 };
 
 /**
- * Per-width pack arena, stored type-erased inside DynamicsWorkspace
- * (one slot per width) and rebuilt on topology change — ensure() of
- * the workspace drops the slots, so a live arena always matches the
- * model it was sized for.
+ * Pack arena, stored type-erased inside DynamicsWorkspace and rebuilt
+ * on topology change — ensure() of the workspace drops it, so a live
+ * arena always matches the model it was sized for.
  */
-template <int W>
 struct LaneArena : SoaArenaBase
 {
     int nb = 0, nq = 0, nv = 0;
@@ -68,7 +67,7 @@ struct LaneArena : SoaArenaBase
     // ∆RNEA cells, nb*nv, cell (i, col) at [col*nb + i] — the sweep
     // runs column-by-column, so one column's cell chain is contiguous
     // and L1-resident for its whole forward+backward round trip.
-    aligned_vector<PDerivCell<W>> dcells;
+    aligned_vector<PDerivCell> dcells;
 
     // Column topology: owning link, owner's subtree (ascending), and
     // the owner's strict ancestors (ascending) per DOF column.
@@ -113,7 +112,7 @@ struct LaneArena : SoaArenaBase
         dqq.assign(snv * snv, Pack<W>::zero());
         dqqd.assign(snv * snv, Pack<W>::zero());
 
-        dcells.assign(snb * snv, PDerivCell<W>());
+        dcells.assign(snb * snv, PDerivCell());
 
         col_link.assign(snv, 0);
         col_desc.assign(snv, {});
@@ -138,22 +137,14 @@ struct LaneArena : SoaArenaBase
     }
 };
 
-template <int W>
-constexpr int
-slotIndex()
-{
-    return W == 4 ? 0 : W == 8 ? 1 : 2;
-}
-
-template <int W>
-LaneArena<W> &
+LaneArena &
 arenaFor(DynamicsWorkspace &ws, const RobotModel &robot)
 {
     ws.ensure(robot);
-    std::unique_ptr<SoaArenaBase> &slot = ws.soa_arenas[slotIndex<W>()];
+    std::unique_ptr<SoaArenaBase> &slot = ws.soa_arena;
     if (!slot)
-        slot = std::make_unique<LaneArena<W>>();
-    auto &la = static_cast<LaneArena<W> &>(*slot);
+        slot = std::make_unique<LaneArena>();
+    auto &la = static_cast<LaneArena &>(*slot);
     la.ensure(robot);
     return la;
 }
@@ -164,7 +155,6 @@ arenaFor(DynamicsWorkspace &ws, const RobotModel &robot)
  * arithmetic (no NaN or div-by-zero from uninitialized padding) and
  * the scatters simply skip the inactive lanes.
  */
-template <int W>
 struct Lanes
 {
     const VectorX *q[W];
@@ -175,11 +165,9 @@ struct Lanes
     bool active[W];
 };
 
-template <int W>
-Lanes<W>
+Lanes
 resolveLanes(const LaneBatch &in)
 {
-    static_assert(W <= kMaxLaneWidth);
     int first = -1;
     for (int l = 0; l < W; ++l) {
         if (in.mask >> l & 1u) {
@@ -188,7 +176,7 @@ resolveLanes(const LaneBatch &in)
         }
     }
     assert(first >= 0 && "LaneBatch needs at least one active lane");
-    Lanes<W> ln;
+    Lanes ln;
     for (int l = 0; l < W; ++l) {
         const bool act = (in.mask >> l & 1u) != 0;
         ln.active[l] = act;
@@ -203,7 +191,6 @@ resolveLanes(const LaneBatch &in)
 }
 
 /** Gather n scalars per lane into n packs (lane-transposed copy). */
-template <int W>
 void
 gatherPacks(Pack<W> *dst, const VectorX *const *src, int n)
 {
@@ -213,7 +200,6 @@ gatherPacks(Pack<W> *dst, const VectorX *const *src, int n)
 }
 
 /** Gather one n x n matrix per lane into row-major packs. */
-template <int W>
 void
 gatherMatrixPacks(Pack<W> *dst, const MatrixX *const *src, int n)
 {
@@ -229,10 +215,9 @@ gatherMatrixPacks(Pack<W> *dst, const MatrixX *const *src, int n)
  * bitwise contract; a vectorized libm would not), and only the
  * resulting E/r are scattered into packs.
  */
-template <int W>
 void
-gatherTransforms(const RobotModel &robot, LaneArena<W> &la,
-                 const Lanes<W> &ln)
+gatherTransforms(const RobotModel &robot, LaneArena &la,
+                 const Lanes &ln)
 {
     using model::JointType;
     const int nb = robot.nb();
@@ -329,9 +314,8 @@ gatherTransforms(const RobotModel &robot, LaneArena<W> &la,
     }
 }
 
-template <int W>
 void
-scatterVector(const Pack<W> *src, int n, const Lanes<W> &ln,
+scatterVector(const Pack<W> *src, int n, const Lanes &ln,
               VectorX *const *out)
 {
     for (int l = 0; l < W; ++l) {
@@ -345,7 +329,6 @@ scatterVector(const Pack<W> *src, int n, const Lanes<W> &ln,
     }
 }
 
-template <int W>
 void
 scatterMatrixLane(const Pack<W> *src, int rows, int cols, int lane,
                   MatrixX &o)
@@ -366,7 +349,6 @@ scatterMatrixLane(const Pack<W> *src, int rows, int cols, int lane,
  * holds stale values there) — matching the gated scalar kernels,
  * whose resize() zero-fill leaves dead columns +0.0.
  */
-template <int W>
 void
 scatterMatrixLaneCols(const Pack<W> *src, int rows, int cols, int lane,
                       MatrixX &o, const ColumnPlan &plan)
@@ -385,9 +367,8 @@ scatterMatrixLaneCols(const Pack<W> *src, int rows, int cols, int lane,
  * Mirror of the scalar rnea() sweep (reuse_transforms form). With
  * @p qdd == nullptr the qdd_is_zero fast path is taken (bias force).
  */
-template <int W>
 void
-rneaSweep(const RobotModel &robot, LaneArena<W> &la, const Pack<W> *qd,
+rneaSweep(const RobotModel &robot, LaneArena &la, const Pack<W> *qd,
           const Pack<W> *qdd, PVec6<W> *v, PVec6<W> *a, PVec6<W> *f,
           Pack<W> *tau_out)
 {
@@ -438,9 +419,8 @@ rneaSweep(const RobotModel &robot, LaneArena<W> &la, const Pack<W> *qd,
  * Mirror of the scalar mminvGen() (reuse_transforms form), writing
  * the joint-space result into @p out (nv x nv packs, row-major).
  */
-template <int W>
 void
-minvCore(const RobotModel &robot, DynamicsWorkspace &ws, LaneArena<W> &la,
+minvCore(const RobotModel &robot, DynamicsWorkspace &ws, LaneArena &la,
          bool out_m, bool out_minv, Pack<W> *out)
 {
     assert(out_m != out_minv);
@@ -681,10 +661,9 @@ minvCore(const RobotModel &robot, DynamicsWorkspace &ws, LaneArena<W> &la,
  * hoisted into a prologue whose values the interleaved scalar code
  * computes identically, and all per-cell writes are column-local.
  */
-template <int W>
 void
 rneaDerivSweep(const RobotModel &robot, DynamicsWorkspace &ws,
-               LaneArena<W> &la, const Pack<W> *qd, const Pack<W> *qdd,
+               LaneArena &la, const Pack<W> *qd, const Pack<W> *qdd,
                const ColumnPlan *plan = nullptr)
 {
     (void)ws;
@@ -753,7 +732,7 @@ rneaDerivSweep(const RobotModel &robot, DynamicsWorkspace &ws,
     for (int n = 0; n < live_cols; ++n) {
         const int col = gated ? plan->cols()[static_cast<std::size_t>(n)] : n;
         const int jc = la.col_link[col];
-        PDerivCell<W> *cells =
+        PDerivCell *cells =
             &la.dcells[static_cast<std::size_t>(col) * nb];
 
         // Forward over owner + descendants, ascending.
@@ -768,7 +747,7 @@ rneaDerivSweep(const RobotModel &robot, DynamicsWorkspace &ws,
                            ? crossMotionUnitScaled(x, vj_ax, qd[vi])
                            : crossMotion(x, la.vj[i]);
             };
-            PDerivCell<W> &cc = cells[i];
+            PDerivCell &cc = cells[i];
             if (i == jc) {
                 const int k = col - vi;
                 const Vec6 sk = s.col(k);
@@ -785,7 +764,7 @@ rneaDerivSweep(const RobotModel &robot, DynamicsWorkspace &ws,
                             (sk_ax >= 0 ? crossMotionUnit(la.v[i], sk_ax)
                                         : crossMotion(la.v[i], sk));
             } else {
-                const PDerivCell<W> &pc = cells[lam];
+                const PDerivCell &pc = cells[lam];
                 const PVec6<W> dvq = la.xf[i].applyMotion(pc.dv_dq);
                 const PVec6<W> dvqd = la.xf[i].applyMotion(pc.dv_dqd);
                 cc.dv_dq = dvq;
@@ -819,7 +798,7 @@ rneaDerivSweep(const RobotModel &robot, DynamicsWorkspace &ws,
             const auto &s = robot.subspace(i);
             const int ni = s.nv();
             const int vi = robot.link(i).vIndex;
-            PDerivCell<W> &cc = cells[i];
+            PDerivCell &cc = cells[i];
             for (int r = 0; r < ni; ++r) {
                 const int ax = s.unitAxis(r);
                 if (ax >= 0) {
@@ -833,7 +812,7 @@ rneaDerivSweep(const RobotModel &robot, DynamicsWorkspace &ws,
                 }
             }
             if (lam != -1) {
-                PDerivCell<W> &pc = cells[lam];
+                PDerivCell &pc = cells[lam];
                 PVec6<W> dq_col = cc.df_dq;
                 if (col >= vi && col < vi + ni)
                     dq_col += crossForce(s.col(col - vi), la.f[i]);
@@ -853,7 +832,6 @@ rneaDerivSweep(const RobotModel &robot, DynamicsWorkspace &ws,
 // -------------------------------------------------- joint-space algebra
 
 /** Mirror of MatrixX::multiplyInto(VectorX): out = m · x. */
-template <int W>
 void
 mulVecInto(const Pack<W> *m, const Pack<W> *x, Pack<W> *out, int n)
 {
@@ -869,7 +847,6 @@ mulVecInto(const Pack<W> *m, const Pack<W> *x, Pack<W> *out, int n)
  * Mirror of out = -(m · o) via MatrixX::multiplyInto + negate():
  * the zero-skip on m's entries runs per lane (addUnlessZero).
  */
-template <int W>
 void
 mulMatNegInto(const Pack<W> *m, const Pack<W> *o, Pack<W> *out, int n)
 {
@@ -898,7 +875,6 @@ mulMatNegInto(const Pack<W> *m, const Pack<W> *o, Pack<W> *out, int n)
  * negateCols), so live columns match it bitwise. Dead columns of
  * @p out keep stale arena values the masked scatter never reads.
  */
-template <int W>
 void
 mulMatNegIntoCols(const Pack<W> *m, const Pack<W> *o, Pack<W> *out, int n,
                   const int *cols, int ncols)
@@ -929,15 +905,16 @@ mulMatNegIntoCols(const Pack<W> *m, const Pack<W> *o, Pack<W> *out, int n,
         }
 }
 
+} // namespace
+
 // ----------------------------------------------------------- kernels
 
-template <int W>
 void
-fdImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
-       VectorX *const *qdd_out)
+packForwardDynamics(const RobotModel &robot, DynamicsWorkspace &ws,
+                    const LaneBatch &in, VectorX *const *qdd_out)
 {
-    LaneArena<W> &la = arenaFor<W>(ws, robot);
-    const Lanes<W> ln = resolveLanes<W>(in);
+    LaneArena &la = arenaFor(ws, robot);
+    const Lanes ln = resolveLanes(in);
     const int nv = robot.nv();
 
     gatherPacks(la.q.data(), ln.q, robot.nq());
@@ -946,7 +923,7 @@ fdImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
     gatherTransforms(robot, la, ln);
 
     // Steps ①②③ of the scalar forwardDynamics (MMinvGen route).
-    rneaSweep(robot, la, la.qd.data(), static_cast<const Pack<W> *>(nullptr),
+    rneaSweep(robot, la, la.qd.data(), nullptr,
               la.rv.data(), la.ra.data(),
               la.rf.data(), la.bias.data());
     minvCore(robot, ws, la, false, true, la.jsout.data());
@@ -957,14 +934,13 @@ fdImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
     scatterVector(la.qddp.data(), nv, ln, qdd_out);
 }
 
-template <int W>
 void
-fdDerivImpl(const RobotModel &robot, DynamicsWorkspace &ws,
-            const LaneBatch &in, FdDerivatives *const *out,
-            const ColumnPlan *plan)
+packFdDerivatives(const RobotModel &robot, DynamicsWorkspace &ws,
+                  const LaneBatch &in, FdDerivatives *const *out,
+                  const ColumnPlan *plan)
 {
-    LaneArena<W> &la = arenaFor<W>(ws, robot);
-    const Lanes<W> ln = resolveLanes<W>(in);
+    LaneArena &la = arenaFor(ws, robot);
+    const Lanes ln = resolveLanes(in);
     const int nv = robot.nv();
     const bool gated = plan != nullptr && !plan->dense();
 
@@ -975,7 +951,7 @@ fdDerivImpl(const RobotModel &robot, DynamicsWorkspace &ws,
 
     // Steps ① - ⑥ of the scalar fdDerivatives. ①②③ (q̈, M⁻¹) are
     // always dense; ④⑤⑥ gate on the column plan.
-    rneaSweep(robot, la, la.qd.data(), static_cast<const Pack<W> *>(nullptr),
+    rneaSweep(robot, la, la.qd.data(), nullptr,
               la.rv.data(), la.ra.data(),
               la.rf.data(), la.bias.data());
     minvCore(robot, ws, la, false, true, la.jsout.data());
@@ -1015,14 +991,13 @@ fdDerivImpl(const RobotModel &robot, DynamicsWorkspace &ws,
     }
 }
 
-template <int W>
 void
-fdGivenAccelImpl(const RobotModel &robot, DynamicsWorkspace &ws,
+packFdGivenAccel(const RobotModel &robot, DynamicsWorkspace &ws,
                  const LaneBatch &in, FdDerivatives *const *out,
                  const ColumnPlan *plan)
 {
-    LaneArena<W> &la = arenaFor<W>(ws, robot);
-    const Lanes<W> ln = resolveLanes<W>(in);
+    LaneArena &la = arenaFor(ws, robot);
+    const Lanes ln = resolveLanes(in);
     const int nv = robot.nv();
     const bool gated = plan != nullptr && !plan->dense();
 
@@ -1067,13 +1042,12 @@ fdGivenAccelImpl(const RobotModel &robot, DynamicsWorkspace &ws,
     }
 }
 
-template <int W>
 void
-minvImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
+packMinv(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
          MatrixX *const *minv_out)
 {
-    LaneArena<W> &la = arenaFor<W>(ws, robot);
-    const Lanes<W> ln = resolveLanes<W>(in);
+    LaneArena &la = arenaFor(ws, robot);
+    const Lanes ln = resolveLanes(in);
     const int nv = robot.nv();
 
     gatherPacks(la.q.data(), ln.q, robot.nq());
@@ -1085,13 +1059,12 @@ minvImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
             scatterMatrixLane(la.jsout.data(), nv, nv, l, *minv_out[l]);
 }
 
-template <int W>
 void
-abaImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
+packAba(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
         VectorX *const *qdd_out)
 {
-    LaneArena<W> &la = arenaFor<W>(ws, robot);
-    const Lanes<W> ln = resolveLanes<W>(in);
+    LaneArena &la = arenaFor(ws, robot);
+    const Lanes ln = resolveLanes(in);
     const int nb = robot.nb();
     const int nv = robot.nv();
 
@@ -1216,13 +1189,12 @@ abaImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
     scatterVector(la.qddp.data(), nv, ln, qdd_out);
 }
 
-template <int W>
 void
-rneaImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
+packRnea(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
          VectorX *const *tau_out)
 {
-    LaneArena<W> &la = arenaFor<W>(ws, robot);
-    const Lanes<W> ln = resolveLanes<W>(in);
+    LaneArena &la = arenaFor(ws, robot);
+    const Lanes ln = resolveLanes(in);
     const int nv = robot.nv();
 
     gatherPacks(la.q.data(), ln.q, robot.nq());
@@ -1236,13 +1208,12 @@ rneaImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
     scatterVector(la.bias.data(), nv, ln, tau_out);
 }
 
-template <int W>
 void
-crbaImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
+packCrba(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
          MatrixX *const *m_out)
 {
-    LaneArena<W> &la = arenaFor<W>(ws, robot);
-    const Lanes<W> ln = resolveLanes<W>(in);
+    LaneArena &la = arenaFor(ws, robot);
+    const Lanes ln = resolveLanes(in);
     const int nb = robot.nb();
     const int nv = robot.nv();
     Pack<W> *m = la.jsout.data();
@@ -1320,119 +1291,6 @@ crbaImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
     for (int l = 0; l < W; ++l)
         if (ln.active[l])
             scatterMatrixLane(m, nv, nv, l, *m_out[l]);
-}
-
-/** Width dispatch shared by every public entry point. */
-template <template <int> class Unused, typename Fn4, typename Fn8,
-          typename Fn16>
-void
-dispatchWidth(int width, Fn4 &&f4, Fn8 &&f8, Fn16 &&f16)
-{
-    switch (width) {
-      case 4:
-        f4();
-        break;
-      case 8:
-        f8();
-        break;
-      case 16:
-        f16();
-        break;
-      default:
-        assert(false && "unsupported SoA lane width");
-        break;
-    }
-}
-
-} // namespace
-
-bool
-laneWidthSupported(int w)
-{
-    return w == 4 || w == 8 || w == 16;
-}
-
-int
-defaultLaneWidth()
-{
-    if (const char *env = std::getenv("DADU_LANE_WIDTH")) {
-        const int w = std::atoi(env);
-        if (w == 1 || laneWidthSupported(w))
-            return w;
-    }
-    return 8;
-}
-
-void
-packForwardDynamics(const RobotModel &robot, DynamicsWorkspace &ws,
-                    int width, const LaneBatch &in, VectorX *const *qdd_out)
-{
-    dispatchWidth<LaneArena>(
-        width, [&] { fdImpl<4>(robot, ws, in, qdd_out); },
-        [&] { fdImpl<8>(robot, ws, in, qdd_out); },
-        [&] { fdImpl<16>(robot, ws, in, qdd_out); });
-}
-
-void
-packFdDerivatives(const RobotModel &robot, DynamicsWorkspace &ws, int width,
-                  const LaneBatch &in, FdDerivatives *const *out,
-                  const ColumnPlan *plan)
-{
-    dispatchWidth<LaneArena>(
-        width, [&] { fdDerivImpl<4>(robot, ws, in, out, plan); },
-        [&] { fdDerivImpl<8>(robot, ws, in, out, plan); },
-        [&] { fdDerivImpl<16>(robot, ws, in, out, plan); });
-}
-
-void
-packFdGivenAccel(const RobotModel &robot, DynamicsWorkspace &ws, int width,
-                 const LaneBatch &in, FdDerivatives *const *out,
-                 const ColumnPlan *plan)
-{
-    dispatchWidth<LaneArena>(
-        width, [&] { fdGivenAccelImpl<4>(robot, ws, in, out, plan); },
-        [&] { fdGivenAccelImpl<8>(robot, ws, in, out, plan); },
-        [&] { fdGivenAccelImpl<16>(robot, ws, in, out, plan); });
-}
-
-void
-packMinv(const RobotModel &robot, DynamicsWorkspace &ws, int width,
-         const LaneBatch &in, MatrixX *const *minv_out)
-{
-    dispatchWidth<LaneArena>(
-        width, [&] { minvImpl<4>(robot, ws, in, minv_out); },
-        [&] { minvImpl<8>(robot, ws, in, minv_out); },
-        [&] { minvImpl<16>(robot, ws, in, minv_out); });
-}
-
-void
-packAba(const RobotModel &robot, DynamicsWorkspace &ws, int width,
-        const LaneBatch &in, VectorX *const *qdd_out)
-{
-    dispatchWidth<LaneArena>(
-        width, [&] { abaImpl<4>(robot, ws, in, qdd_out); },
-        [&] { abaImpl<8>(robot, ws, in, qdd_out); },
-        [&] { abaImpl<16>(robot, ws, in, qdd_out); });
-}
-
-void
-packRnea(const RobotModel &robot, DynamicsWorkspace &ws, int width,
-         const LaneBatch &in, VectorX *const *tau_out)
-{
-    dispatchWidth<LaneArena>(
-        width, [&] { rneaImpl<4>(robot, ws, in, tau_out); },
-        [&] { rneaImpl<8>(robot, ws, in, tau_out); },
-        [&] { rneaImpl<16>(robot, ws, in, tau_out); });
-}
-
-void
-packCrba(const RobotModel &robot, DynamicsWorkspace &ws, int width,
-         const LaneBatch &in, MatrixX *const *m_out)
-{
-    dispatchWidth<LaneArena>(
-        width, [&] { crbaImpl<4>(robot, ws, in, m_out); },
-        [&] { crbaImpl<8>(robot, ws, in, m_out); },
-        [&] { crbaImpl<16>(robot, ws, in, m_out); });
 }
 
 } // namespace dadu::algo::soa

@@ -2,13 +2,13 @@
  * @file
  * Lane-parallel (SoA) dynamics kernels.
  *
- * Each pack* entry point evaluates one lane pack: up to kMaxLaneWidth
+ * Each pack* entry point evaluates one lane pack: up to kLaneWidth
  * independent sample points whose fields are interleaved per lane
  * (structure of arrays) so the link-by-link sweeps vectorize across
  * the batch dimension. The kernels mirror the scalar workspace
  * algorithms expression by expression (see soa/pack.h for the
  * bitwise contract): lane l's outputs are bitwise identical to the
- * scalar kernel run on point l, for any supported width.
+ * scalar kernel run on point l.
  *
  * Masking: `LaneBatch::mask` marks the active lanes. Inactive lanes
  * are padded internally by replicating the first active lane's
@@ -16,8 +16,8 @@
  * outputs are never written — the machinery ROADMAP item 2's
  * per-column sparsity gating reuses.
  *
- * Allocation: each kernel draws its pack storage from a per-width
- * arena slot inside the caller's DynamicsWorkspace, created on first
+ * Allocation: each kernel draws its pack storage from the lane
+ * arena inside the caller's DynamicsWorkspace, created on first
  * use and reused afterwards — steady-state calls are allocation-free,
  * like the scalar workspace kernels.
  */
@@ -36,19 +36,12 @@ using linalg::MatrixX;
 using linalg::VectorX;
 using model::RobotModel;
 
-/** Widest supported lane pack. */
-inline constexpr int kMaxLaneWidth = 16;
-
-/** True for the widths the kernels are instantiated at: 4, 8, 16. */
-bool laneWidthSupported(int w);
-
 /**
- * Engine default lane width: DADU_LANE_WIDTH if set to 1 (scalar
- * path), 4, 8 or 16; otherwise 8 — wide enough to fill an AVX2 or
- * AVX-512 register file, narrow enough that the per-link pack state
+ * The one lane width every kernel is compiled at: 8 doubles fill an
+ * AVX-512 register (two AVX2 registers), and the per-link pack state
  * of a humanoid still fits in L1/L2.
  */
-int defaultLaneWidth();
+inline constexpr int kLaneWidth = 8;
 
 /**
  * One lane pack of inputs: per-lane pointers into caller storage
@@ -58,19 +51,15 @@ int defaultLaneWidth();
  */
 struct LaneBatch
 {
-    const VectorX *q[kMaxLaneWidth] = {};
-    const VectorX *qd[kMaxLaneWidth] = {};
-    const VectorX *tau[kMaxLaneWidth] = {};
-    const VectorX *qdd[kMaxLaneWidth] = {};  ///< packRnea / packFdGivenAccel
-    const MatrixX *minv[kMaxLaneWidth] = {}; ///< packFdGivenAccel only
+    const VectorX *q[kLaneWidth] = {};
+    const VectorX *qd[kLaneWidth] = {};
+    const VectorX *tau[kLaneWidth] = {};
+    const VectorX *qdd[kLaneWidth] = {};  ///< packRnea / packFdGivenAccel
+    const MatrixX *minv[kLaneWidth] = {}; ///< packFdGivenAccel only
     unsigned mask = 0;
 
-    /** Mask with the low @p w lanes active. */
-    static unsigned
-    fullMask(int w)
-    {
-        return w >= 32 ? ~0u : (1u << w) - 1u;
-    }
+    /** Mask with every lane active. */
+    static constexpr unsigned kFullMask = (1u << kLaneWidth) - 1u;
 };
 
 /**
@@ -80,8 +69,7 @@ struct LaneBatch
  * lanes, may be null there).
  */
 void packForwardDynamics(const RobotModel &robot, DynamicsWorkspace &ws,
-                         int width, const LaneBatch &in,
-                         VectorX *const *qdd_out);
+                         const LaneBatch &in, VectorX *const *qdd_out);
 
 /**
  * ∆FD (q̈, ∂q̈/∂q, ∂q̈/∂q̇, M⁻¹) for one lane pack.
@@ -95,8 +83,7 @@ void packForwardDynamics(const RobotModel &robot, DynamicsWorkspace &ws,
  *             ∂q̈/∂u are exactly 0.0. q̈ and M⁻¹ are always dense.
  */
 void packFdDerivatives(const RobotModel &robot, DynamicsWorkspace &ws,
-                       int width, const LaneBatch &in,
-                       FdDerivatives *const *out,
+                       const LaneBatch &in, FdDerivatives *const *out,
                        const ColumnPlan *plan = nullptr);
 
 /**
@@ -109,12 +96,11 @@ void packFdDerivatives(const RobotModel &robot, DynamicsWorkspace &ws,
  * inputs, as in the scalar kernel.
  */
 void packFdGivenAccel(const RobotModel &robot, DynamicsWorkspace &ws,
-                      int width, const LaneBatch &in,
-                      FdDerivatives *const *out,
+                      const LaneBatch &in, FdDerivatives *const *out,
                       const ColumnPlan *plan = nullptr);
 
 /** M⁻¹(q) for one lane pack. */
-void packMinv(const RobotModel &robot, DynamicsWorkspace &ws, int width,
+void packMinv(const RobotModel &robot, DynamicsWorkspace &ws,
               const LaneBatch &in, MatrixX *const *minv_out);
 
 /**
@@ -123,15 +109,15 @@ void packMinv(const RobotModel &robot, DynamicsWorkspace &ws, int width,
  * match the scalar reference bitwise, but the ABA sweep is
  * lane-parallel too).
  */
-void packAba(const RobotModel &robot, DynamicsWorkspace &ws, int width,
+void packAba(const RobotModel &robot, DynamicsWorkspace &ws,
              const LaneBatch &in, VectorX *const *qdd_out);
 
 /** Inverse dynamics τ = RNEA(q, q̇, q̈) for one lane pack. */
-void packRnea(const RobotModel &robot, DynamicsWorkspace &ws, int width,
+void packRnea(const RobotModel &robot, DynamicsWorkspace &ws,
               const LaneBatch &in, VectorX *const *tau_out);
 
 /** Joint-space mass matrix M(q) (CRBA sweep) for one lane pack. */
-void packCrba(const RobotModel &robot, DynamicsWorkspace &ws, int width,
+void packCrba(const RobotModel &robot, DynamicsWorkspace &ws,
               const LaneBatch &in, MatrixX *const *m_out);
 
 } // namespace dadu::algo::soa

@@ -43,11 +43,10 @@ DynamicsWorkspace::ensure(const RobotModel &robot)
         return;
     sig_ = sig_scratch_;
 
-    // The lane-pack arenas are sized for the old topology: drop them
-    // so the SoA kernels rebuild on next use (mirrors the realloc of
+    // The lane-pack arena is sized for the old topology: drop it so
+    // the SoA kernels rebuild on next use (mirrors the realloc of
     // every scalar buffer below).
-    for (auto &slot : soa_arenas)
-        slot.reset();
+    soa_arena.reset();
 
     nb = robot.nb();
     nq = robot.nq();

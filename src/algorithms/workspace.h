@@ -25,7 +25,6 @@
 #ifndef DADU_ALGORITHMS_WORKSPACE_H
 #define DADU_ALGORITHMS_WORKSPACE_H
 
-#include <array>
 #include <memory>
 #include <vector>
 
@@ -48,11 +47,11 @@ using linalg::VectorX;
 using model::RobotModel;
 
 /**
- * Type-erased base of the lane-pack arenas in src/algorithms/soa/.
- * DynamicsWorkspace carries one slot per supported lane width so the
- * SoA kernels reuse grow-once pack storage alongside the scalar
- * arenas; ensure() drops the slots whenever the topology changes, so
- * a live arena always matches the workspace's model.
+ * Type-erased base of the lane-pack arena in src/algorithms/soa/.
+ * DynamicsWorkspace carries one so the SoA kernels reuse grow-once
+ * pack storage alongside the scalar arenas; ensure() drops it
+ * whenever the topology changes, so a live arena always matches the
+ * workspace's model.
  */
 struct SoaArenaBase
 {
@@ -149,13 +148,12 @@ struct DynamicsWorkspace
     linalg::aligned_vector<DerivCell> dcells;
 
     /**
-     * Lane-pack arenas, one slot per supported SoA width (4/8/16),
-     * created lazily by the soa:: kernels on first use at that width
-     * and reused (grow-once) afterwards. Reset by ensure() on any
+     * Lane-pack arena of the soa:: kernels, created lazily on first
+     * use and reused (grow-once) afterwards. Reset by ensure() on any
      * topology change. Owning a unique_ptr makes the workspace
      * move-only, which every existing user already satisfies.
      */
-    std::array<std::unique_ptr<SoaArenaBase>, 3> soa_arenas;
+    std::unique_ptr<SoaArenaBase> soa_arena;
 
     // ----- joint-space scratch -----
     VectorX zero_nv;    ///< Constant zero vector of size nv.

@@ -7,10 +7,10 @@
 
 #include "algorithms/aba.h"
 #include "algorithms/dynamics.h"
-#include "app/scheduler.h"
 #include "ctrl/mpc_session.h"
 #include "linalg/factorize.h"
 #include "perf/timing.h"
+#include "runtime/sched/admission.h"
 #include "runtime/server.h"
 
 namespace dadu::app {
@@ -280,12 +280,12 @@ MpcWorkload::serveMultiClient(runtime::DynamicsServer &server,
                     const double now = perf::nowUs();
                     lq_tag.deadline_us =
                         now + deadline_slack *
-                                  predictedAdmissionUs(
+                                  runtime::sched::predictedAdmissionUs(
                                       queued, static_cast<int>(n), 1,
                                       task_us, 0.0, dfd_weight);
                     ro_tag.deadline_us =
                         now + deadline_slack *
-                                  predictedAdmissionUs(
+                                  runtime::sched::predictedAdmissionUs(
                                       queued, static_cast<int>(n), 4,
                                       task_us, 0.0,
                                       runtime::sched::functionWeight(

@@ -237,9 +237,9 @@ class MpcWorkload
      * @p deadline_slack > 0 turns the clients into deadline-tagged
      * (EDF-schedulable) traffic: from its second round on, each
      * client predicts its jobs' makespan with the closed-form
-     * app::predictedAdmissionUs — per-task time calibrated from its
-     * own previous round's BatchStats, queued work read from the
-     * server's lane load — and tags them with
+     * runtime::sched::predictedAdmissionUs — per-task time
+     * calibrated from its own previous round's BatchStats, queued
+     * work read from the server's lane load — and tags them with
      * deadline = now + slack x prediction. The report's deadline
      * buckets then account every tagged job.
      */

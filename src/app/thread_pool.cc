@@ -20,24 +20,6 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::submit(std::function<void()> task)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        queue_.push_back(std::move(task));
-        ++in_flight_;
-    }
-    cv_.notify_one();
-}
-
-void
-ThreadPool::waitAll()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-void
 ThreadPool::runIndexed(void (*task)(void *, int), void *ctx, int count)
 {
     if (count <= 0)
@@ -87,36 +69,20 @@ ThreadPool::runIndexed(void (*task)(void *, int), void *ctx, int count)
 void
 ThreadPool::workerLoop()
 {
+    std::unique_lock<std::mutex> lock(mutex_);
     while (true) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            cv_.wait(lock, [this] {
-                return stop_ || !queue_.empty() ||
-                       bulk_next_ < bulk_count_;
-            });
-            if (stop_ && queue_.empty() && bulk_next_ >= bulk_count_)
-                return;
-            if (bulk_next_ < bulk_count_) {
-                const int idx = bulk_next_++;
-                void (*fn)(void *, int) = bulk_task_;
-                void *ctx = bulk_ctx_;
-                lock.unlock();
-                fn(ctx, idx);
-                lock.lock();
-                if (++bulk_done_ == bulk_count_)
-                    done_cv_.notify_all();
-                continue;
-            }
-            task = std::move(queue_.front());
-            queue_.pop_front();
-        }
-        task();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (--in_flight_ == 0)
-                done_cv_.notify_all();
-        }
+        cv_.wait(lock,
+                 [this] { return stop_ || bulk_next_ < bulk_count_; });
+        if (bulk_next_ >= bulk_count_)
+            return; // stop_ with no bulk work left
+        const int idx = bulk_next_++;
+        void (*fn)(void *, int) = bulk_task_;
+        void *ctx = bulk_ctx_;
+        lock.unlock();
+        fn(ctx, idx);
+        lock.lock();
+        if (++bulk_done_ == bulk_count_)
+            done_cv_.notify_all();
     }
 }
 

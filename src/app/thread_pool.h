@@ -9,15 +9,13 @@
 #define DADU_APP_THREAD_POOL_H
 
 #include <condition_variable>
-#include <deque>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace dadu::app {
 
-/** Fixed-size worker pool with a blocking wait-for-all. */
+/** Fixed-size worker pool running indexed bulk dispatches. */
 class ThreadPool
 {
   public:
@@ -27,18 +25,12 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Enqueue a task. */
-    void submit(std::function<void()> task);
-
-    /** Block until every submitted task has finished. */
-    void waitAll();
-
     /**
      * Run task(ctx, index) for every index in [0, count) across the
      * worker threads (the calling thread participates) and block
-     * until all of them have completed. Unlike submit(), dispatch is
-     * allocation-free — no std::function, no queue nodes — which
-     * keeps the batched dynamics hot loop heap-silent.
+     * until all of them have completed. Dispatch is allocation-free
+     * — no std::function, no queue nodes — which keeps the batched
+     * dynamics hot loop heap-silent.
      *
      * Safe to call from multiple threads: concurrent bulk dispatches
      * are serialized on an internal gate (the pool runs one indexed
@@ -56,11 +48,9 @@ class ThreadPool
     void workerLoop();
 
     std::vector<std::thread> workers_;
-    std::deque<std::function<void()>> queue_;
     std::mutex mutex_;
     std::condition_variable cv_;
     std::condition_variable done_cv_;
-    int in_flight_ = 0;
     bool stop_ = false;
 
     // Bulk (indexed) dispatch state, guarded by mutex_. The state is

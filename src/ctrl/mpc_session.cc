@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "app/scheduler.h"
 #include "perf/timing.h"
+#include "runtime/sched/admission.h"
 #include "runtime/sched/policy.h"
 
 namespace dadu::ctrl {
@@ -67,7 +67,7 @@ MpcSession::ServerChannel::run(FunctionType fn,
             queued = std::min(queued, srv.laneLoadWeight(l));
         tag.deadline_us =
             t0 + s.cfg_.deadline_slack *
-                     app::predictedAdmissionUs(
+                     runtime::sched::predictedAdmissionUs(
                          queued, static_cast<int>(count), 1,
                          s.task_us_, 0.0, fn_weight);
     }

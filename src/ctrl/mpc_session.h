@@ -13,11 +13,11 @@
  *
  * With deadline_slack > 0 the session becomes deadline-tagged
  * (EDF-schedulable) traffic: it predicts each job's makespan with
- * app::predictedAdmissionUs — per-task time calibrated from its own
- * previous linearization batch, queued work read from the server's
- * lane loads — and tags the job with deadline = now + slack x
- * prediction. M concurrent sessions are the closed-loop serving
- * workload of bench_mpc_solve.
+ * runtime::sched::predictedAdmissionUs — per-task time calibrated
+ * from its own previous linearization batch, queued work read from
+ * the server's lane loads — and tags the job with deadline = now +
+ * slack x prediction. M concurrent sessions are the closed-loop
+ * serving workload of bench_mpc_solve.
  */
 
 #ifndef DADU_CTRL_MPC_SESSION_H

@@ -72,9 +72,11 @@ class DynamicsBackend
      * The return value (mirrored into @p stats->status when stats is
      * provided) is the error channel: a non-Ok status means the
      * results were NOT written and the batch may be retried
-     * (TransientFailure) or the backend abandoned (BackendDown).
-     * The three production backends always return Ok; fault-injecting
-     * decorators and future remote transports do not.
+     * (TransientFailure) or the backend abandoned (BackendDown). The
+     * three production backends return InvalidRequest for a batch
+     * with a request whose inputs do not match the robot's shape or
+     * whose seed set is malformed, and Ok otherwise; fault-injecting
+     * decorators and future remote transports may also fail.
      */
     virtual SubmitStatus submit(FunctionType fn,
                                 const DynamicsRequest *requests,

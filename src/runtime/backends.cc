@@ -44,22 +44,37 @@ requestGated(const DynamicsRequest &req)
 }
 
 /**
- * Deterministic submit-time mask validation, shared by every
- * backend: a derivative request with out-of-range or duplicate seed
- * indices rejects the whole batch before any point executes. Seeds
- * on non-derivative functions are ignored (masks only apply to ∆
- * outputs), as are seeds under GatingMode::None.
+ * Deterministic submit-time request validation, shared by every
+ * backend: one malformed request rejects the whole batch before any
+ * point executes. Only the inputs @p fn reads are checked — M and
+ * M⁻¹ read q alone; every other function also reads q̇, q̈/τ and a
+ * non-empty f_ext, and ∆iFD an nv x nv M⁻¹ — plus, on the ∆
+ * functions, the seed set of a gated request (out-of-range or
+ * duplicate indices). Seeds on non-derivative functions are ignored
+ * (masks only apply to ∆ outputs), as are seeds under
+ * GatingMode::None.
  */
 bool
-masksValid(FunctionType fn, const DynamicsRequest *requests,
-           std::size_t count, int nv)
+requestsValid(const RobotModel &robot, FunctionType fn,
+              const DynamicsRequest *requests, std::size_t count)
 {
-    if (!derivativeFunction(fn))
-        return true;
-    for (std::size_t i = 0; i < count; ++i)
-        if (requestGated(requests[i]) &&
-            !algo::seedValid(requests[i].seed_cols, nv))
+    const std::size_t nq = robot.nq(), nv = robot.nv(), nb = robot.nb();
+    const bool q_only = fn == FunctionType::M || fn == FunctionType::Minv;
+    const bool deriv = derivativeFunction(fn);
+    for (std::size_t i = 0; i < count; ++i) {
+        const DynamicsRequest &r = requests[i];
+        if (r.q.size() != nq)
             return false;
+        if (!q_only && (r.qd.size() != nv || r.qdd_or_tau.size() != nv ||
+                        (!r.fext.empty() && r.fext.size() != nb)))
+            return false;
+        if (fn == FunctionType::DeltaiFD &&
+            (r.minv.rows() != nv || r.minv.cols() != nv))
+            return false;
+        if (deriv && requestGated(r) &&
+            !algo::seedValid(r.seed_cols, robot.nv()))
+            return false;
+    }
     return true;
 }
 
@@ -153,11 +168,8 @@ CpuBatchedBackend::clone() const
     // Clones share ONE host-wide worker pool (the bulk gate
     // serializes their dispatches); workspaces and staging stay
     // per-clone, so each clone remains independently submittable
-    // from its own lane. The SIMD lane width carries over so a
-    // fleet configured via setLaneWidth stays uniform.
-    auto clone = std::make_unique<CpuBatchedBackend>(robot_, engine_.pool());
-    clone->engine_.setLaneWidth(engine_.laneWidth());
-    return clone;
+    // from its own lane.
+    return std::make_unique<CpuBatchedBackend>(robot_, engine_.pool());
 }
 
 SubmitStatus
@@ -166,8 +178,8 @@ CpuBatchedBackend::submit(FunctionType fn, const DynamicsRequest *requests,
                           BatchStats *stats)
 {
     // Deterministic rejection before anything executes: a malformed
-    // seed set fails the whole batch, never a partial one.
-    if (!masksValid(fn, requests, count, robot_.nv()))
+    // request fails the whole batch, never a partial one.
+    if (!requestsValid(robot_, fn, requests, count))
         return SubmitStatus::InvalidRequest;
 
     // The engine's columnar fast path covers the batch-shaped
@@ -177,8 +189,7 @@ CpuBatchedBackend::submit(FunctionType fn, const DynamicsRequest *requests,
     // when the mask is uniform across the batch (the iLQR client's
     // shape: one drift-derived seed shared by the whole horizon) —
     // the SoA pack then shares one resolved plan; mixed-mask batches
-    // fall back to the per-point reference kernels. ∆iFD also needs
-    // every request's M⁻¹ input at full joint-space shape.
+    // fall back to the per-point reference kernels.
     bool engine_path = fn == FunctionType::FD ||
                        fn == FunctionType::DeltaFD ||
                        fn == FunctionType::DeltaiFD ||
@@ -192,14 +203,6 @@ CpuBatchedBackend::submit(FunctionType fn, const DynamicsRequest *requests,
         for (std::size_t i = 1; engine_path && i < count; ++i) {
             if (requests[i].gating != requests[0].gating ||
                 requests[i].seed_cols != requests[0].seed_cols)
-                engine_path = false;
-        }
-    }
-    if (engine_path && fn == FunctionType::DeltaiFD) {
-        const int nv = robot_.nv();
-        for (std::size_t i = 0; engine_path && i < count; ++i) {
-            if (static_cast<int>(requests[i].minv.rows()) != nv ||
-                static_cast<int>(requests[i].minv.cols()) != nv)
                 engine_path = false;
         }
     }
@@ -337,7 +340,7 @@ AcceleratorBackend::submit(FunctionType fn, const DynamicsRequest *requests,
                            std::size_t count, DynamicsResult *results,
                            BatchStats *stats)
 {
-    if (!masksValid(fn, requests, count, accel_->robot().nv()))
+    if (!requestsValid(accel_->robot(), fn, requests, count))
         return SubmitStatus::InvalidRequest;
     // DynamicsRequest/DynamicsResult ARE the accelerator task types
     // (accel::TaskInput/TaskOutput alias them), so the batch — mask
@@ -366,7 +369,7 @@ AnalyticBackend::submit(FunctionType fn, const DynamicsRequest *requests,
                         std::size_t count, DynamicsResult *results,
                         BatchStats *stats)
 {
-    if (!masksValid(fn, requests, count, accel_.robot().nv()))
+    if (!requestsValid(accel_.robot(), fn, requests, count))
         return SubmitStatus::InvalidRequest;
 
     const bool deriv = derivativeFunction(fn);

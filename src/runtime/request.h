@@ -92,7 +92,7 @@ enum class SubmitStatus
     Ok,               ///< batch executed, results valid
     TransientFailure, ///< batch did not execute; a retry may succeed
     BackendDown,      ///< backend permanently dead; do not resubmit
-    InvalidRequest,   ///< malformed request (bad seed set); never retried
+    InvalidRequest,   ///< malformed request (shape or seeds); never retried
 };
 
 /**

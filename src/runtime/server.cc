@@ -904,11 +904,12 @@ DynamicsServer::serveOne(int lane_id)
         }
     }
     if (status == SubmitStatus::InvalidRequest) {
-        // A malformed request (bad seed set) is a CLIENT error: the
-        // lane is healthy, so no retry and no quarantine. Submit-time
-        // validation catches these up front; this arm only fires when
-        // an advance callback builds a bad mask mid-job. The picked
-        // jobs fail explicitly — wait() returns, outcome says why.
+        // A malformed request (wrong input shape, bad seed set) is a
+        // CLIENT error: the lane is healthy, so no retry and no
+        // quarantine. Submit-time validation rejects bad seed sets up
+        // front; this arm fires for shape errors and for a bad mask
+        // an advance callback builds mid-job. The picked jobs fail
+        // explicitly — wait() returns, outcome says why.
         std::lock_guard<std::mutex> lock(mu_);
         bool any_done = false;
         for (const WorkItem &item : lane.picked) {

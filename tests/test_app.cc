@@ -22,27 +22,6 @@ using namespace dadu::app;
 using dadu::accel::Accelerator;
 using dadu::model::makeQuadrupedArm;
 
-TEST(ThreadPool, RunsAllTasks)
-{
-    ThreadPool pool(3);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count] { ++count; });
-    pool.waitAll();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitAllIsReusable)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&count] { ++count; });
-    pool.waitAll();
-    pool.submit([&count] { ++count; });
-    pool.waitAll();
-    EXPECT_EQ(count.load(), 2);
-}
-
 TEST(ThreadPool, RunIndexedCoversEveryIndexOnce)
 {
     ThreadPool pool(3);

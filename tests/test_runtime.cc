@@ -18,10 +18,13 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <random>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "accel/accelerator.h"
@@ -288,6 +291,158 @@ TEST(DynamicsServer, InvalidMaskRejectedAtSubmission)
     server.wait(ok);
     EXPECT_EQ(server.jobOutcome(ok), runtime::JobOutcome::Completed);
     EXPECT_EQ(server.schedStats().rejected_jobs, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Request shape validation at submit
+// ---------------------------------------------------------------------
+
+/** One malformed input shape and the function it is submitted to. */
+struct BadShape
+{
+    const char *name;
+    FunctionType fn;
+    void (*apply)(const RobotModel &robot, DynamicsRequest &r);
+};
+
+const BadShape kBadShapes[] = {
+    {"QShort", FunctionType::FD,
+     [](const RobotModel &robot, DynamicsRequest &r) {
+         r.q.resize(robot.nq() - 1);
+     }},
+    {"QdLong", FunctionType::DeltaFD,
+     [](const RobotModel &robot, DynamicsRequest &r) {
+         r.qd.resize(robot.nv() + 1);
+     }},
+    {"QddOrTauEmpty", FunctionType::ID,
+     [](const RobotModel &, DynamicsRequest &r) { r.qdd_or_tau = VectorX(); }},
+    {"FextWrongCount", FunctionType::FD,
+     [](const RobotModel &robot, DynamicsRequest &r) {
+         r.fext.assign(robot.nb() - 1, linalg::Vec6::zero());
+     }},
+    {"MinvQShort", FunctionType::Minv,
+     [](const RobotModel &robot, DynamicsRequest &r) {
+         r.q.resize(robot.nq() - 1);
+     }},
+    {"DiFdMinvLarger", FunctionType::DeltaiFD,
+     [](const RobotModel &robot, DynamicsRequest &r) {
+         r.minv = MatrixX(robot.nv() + 1, robot.nv() + 1);
+     }},
+    {"DiFdMinvSmaller", FunctionType::DeltaiFD,
+     [](const RobotModel &robot, DynamicsRequest &r) {
+         r.minv = MatrixX(robot.nv() - 1, robot.nv() - 1);
+     }},
+};
+
+const char *const kShapeBackends[] = {"Cpu", "Accelerator", "Analytic"};
+
+class RequestShapeTest
+    : public ::testing::TestWithParam<std::tuple<int, int>>
+{};
+
+TEST_P(RequestShapeTest, RejectedBeforeExecution)
+{
+    // Every backend rejects a batch holding one malformed request
+    // with InvalidRequest, writes no result, and still accepts the
+    // same batch once the request is well-formed again.
+    const RobotModel robot = model::makeIiwa();
+    const int nv = robot.nv();
+    accel::Accelerator accel_hw(robot);
+    std::unique_ptr<runtime::DynamicsBackend> backend;
+    switch (std::get<0>(GetParam())) {
+      case 0:
+        backend = std::make_unique<runtime::CpuBatchedBackend>(robot, 1);
+        break;
+      case 1:
+        backend = std::make_unique<runtime::AcceleratorBackend>(accel_hw);
+        break;
+      default:
+        backend = std::make_unique<runtime::AnalyticBackend>(accel_hw);
+        break;
+    }
+    const BadShape &bad = kBadShapes[std::get<1>(GetParam())];
+
+    auto reqs = randomRequests(robot, 3, 41);
+    for (auto &r : reqs)
+        r.minv = algo::massMatrixInverse(robot, r.q);
+    bad.apply(robot, reqs[1]);
+    std::vector<DynamicsResult> results(3);
+    EXPECT_EQ(backend->submit(bad.fn, reqs.data(), 3, results.data()),
+              runtime::SubmitStatus::InvalidRequest);
+    for (const DynamicsResult &r : results) {
+        EXPECT_EQ(r.qdd.size(), 0u);
+        EXPECT_EQ(r.tau.size(), 0u);
+        EXPECT_EQ(r.minv.rows(), 0u);
+    }
+
+    reqs[1] = randomRequests(robot, 1, 42)[0];
+    reqs[1].minv = MatrixX::identity(nv);
+    EXPECT_EQ(backend->submit(bad.fn, reqs.data(), 3, results.data()),
+              runtime::SubmitStatus::Ok);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BackendsByShape, RequestShapeTest,
+    ::testing::Combine(::testing::Range(0, 3),
+                       ::testing::Range(0, static_cast<int>(
+                                               std::size(kBadShapes)))),
+    [](const auto &info) {
+        return std::string(kShapeBackends[std::get<0>(info.param)]) +
+               kBadShapes[std::get<1>(info.param)].name;
+    });
+
+TEST(RequestShape, QOnlyFunctionsIgnoreUnreadInputs)
+{
+    // M and M⁻¹ read q alone: empty q̇ / q̈-or-τ inputs are fine.
+    const RobotModel robot = model::makeIiwa();
+    accel::Accelerator accel_hw(robot);
+    runtime::CpuBatchedBackend cpu(robot, 1);
+    runtime::AcceleratorBackend acc(accel_hw);
+    runtime::AnalyticBackend ana(accel_hw);
+    auto reqs = randomRequests(robot, 2, 43);
+    for (auto &r : reqs) {
+        r.qd = VectorX();
+        r.qdd_or_tau = VectorX();
+    }
+    std::vector<DynamicsResult> results(2);
+    for (runtime::DynamicsBackend *b :
+         {static_cast<runtime::DynamicsBackend *>(&cpu),
+          static_cast<runtime::DynamicsBackend *>(&acc),
+          static_cast<runtime::DynamicsBackend *>(&ana)}) {
+        for (FunctionType fn : {FunctionType::M, FunctionType::Minv})
+            EXPECT_EQ(b->submit(fn, reqs.data(), 2, results.data()),
+                      runtime::SubmitStatus::Ok)
+                << b->name() << " " << runtime::functionName(fn);
+    }
+}
+
+TEST(DynamicsServer, MalformedShapeFailsWithoutRetryOrQuarantine)
+{
+    // A shape error is a client error: the job ends Failed on its
+    // first attempt, the lane stays healthy and keeps serving.
+    const RobotModel robot = model::makeIiwa();
+    runtime::CpuBatchedBackend backend(robot, 1);
+    runtime::DynamicsServer server(backend);
+
+    auto reqs = randomRequests(robot, 4, 44);
+    reqs[2].qd.resize(robot.nv() + 1);
+    std::vector<DynamicsResult> res(4);
+    const int bad =
+        server.submit(FunctionType::DeltaFD, reqs.data(), 4, res.data());
+    server.wait(bad);
+    EXPECT_EQ(server.jobOutcome(bad), runtime::JobOutcome::Failed);
+    const runtime::sched::SchedStats st = server.schedStats();
+    EXPECT_EQ(st.failed_jobs, 1u);
+    EXPECT_EQ(st.transient_faults, 0u);
+    EXPECT_EQ(st.retries, 0u);
+    EXPECT_EQ(st.lane_deaths, 0u);
+    EXPECT_TRUE(server.laneHealthy(0));
+
+    const auto good = randomRequests(robot, 4, 45);
+    const int ok =
+        server.submit(FunctionType::DeltaFD, good.data(), 4, res.data());
+    server.wait(ok);
+    EXPECT_EQ(server.jobOutcome(ok), runtime::JobOutcome::Completed);
 }
 
 // ---------------------------------------------------------------------

@@ -4,11 +4,10 @@
  *
  *  - pack kernels (ABA, RNEA, ∆RNEA via ∆FD, FD, M⁻¹, CRBA) are
  *    bitwise identical to the scalar workspace kernels, per lane, on
- *    all three evaluation robots at W ∈ {4, 8};
+ *    all three evaluation robots at soa::kLaneWidth;
  *  - masked lanes: inactive lanes are never written;
  *  - the batched engine splits full packs / ragged remainder without
- *    changing any point's bits, at any configured lane width
- *    (batch-width-invariant determinism);
+ *    changing any point's bits, at any batch size and thread count;
  *  - the packed submit path performs zero steady-state heap
  *    allocations (counted global allocator, aligned forms included —
  *    the SoA arenas allocate via the C++17 aligned operator new).
@@ -200,88 +199,87 @@ const RobotCase kRobots[] = {
 };
 
 // -----------------------------------------------------------------
-// Scalar-vs-pack parity, all kernels, W in {4, 8}, three robots.
+// Scalar-vs-pack parity, all kernels, W = kLaneWidth, three robots.
 // -----------------------------------------------------------------
 
 TEST(SoaParity, AllKernelsBitwiseMatchScalar)
 {
+    constexpr int w = soa::kLaneWidth;
     for (const auto &rc : kRobots) {
         const model::RobotModel robot = rc.make();
-        for (int w : {4, 8}) {
-            SCOPED_TRACE(testing::Message() << rc.name << " W=" << w);
-            const Points p = randomPoints(robot, w);
+        SCOPED_TRACE(rc.name);
+        const Points p = randomPoints(robot, w);
 
-            // Scalar references, one workspace reused point-by-point
-            // exactly like the batched engine's scalar path.
-            DynamicsWorkspace sws(robot);
-            std::vector<linalg::VectorX> s_fd(w), s_aba(w), s_rnea(w);
-            std::vector<FdDerivatives> s_dfd(w);
-            std::vector<linalg::MatrixX> s_minv(w), s_m(w);
-            RneaResult rr;
-            for (int l = 0; l < w; ++l) {
-                forwardDynamics(robot, sws, p.q[l], p.qd[l], p.tau[l],
-                                s_fd[l]);
-                aba(robot, sws, p.q[l], p.qd[l], p.tau[l], s_aba[l]);
-                // τ = RNEA(q, q̇, q̈): reuse the ABA q̈ as the target
-                // acceleration so the round trip is nontrivial.
-                rnea(robot, sws, p.q[l], p.qd[l], s_aba[l], rr);
-                s_rnea[l] = rr.tau;
-                fdDerivatives(robot, sws, p.q[l], p.qd[l], p.tau[l],
-                              s_dfd[l]);
-                massMatrixInverse(robot, sws, p.q[l], s_minv[l]);
-                crba(robot, sws, p.q[l], s_m[l]);
-            }
+        // Scalar references, one workspace reused point-by-point
+        // exactly like the batched engine's scalar path.
+        DynamicsWorkspace sws(robot);
+        std::vector<linalg::VectorX> s_fd(w), s_aba(w), s_rnea(w);
+        std::vector<FdDerivatives> s_dfd(w);
+        std::vector<linalg::MatrixX> s_minv(w), s_m(w);
+        RneaResult rr;
+        for (int l = 0; l < w; ++l) {
+            forwardDynamics(robot, sws, p.q[l], p.qd[l], p.tau[l],
+                            s_fd[l]);
+            aba(robot, sws, p.q[l], p.qd[l], p.tau[l], s_aba[l]);
+            // τ = RNEA(q, q̇, q̈): reuse the ABA q̈ as the target
+            // acceleration so the round trip is nontrivial.
+            rnea(robot, sws, p.q[l], p.qd[l], s_aba[l], rr);
+            s_rnea[l] = rr.tau;
+            fdDerivatives(robot, sws, p.q[l], p.qd[l], p.tau[l],
+                          s_dfd[l]);
+            massMatrixInverse(robot, sws, p.q[l], s_minv[l]);
+            crba(robot, sws, p.q[l], s_m[l]);
+        }
 
-            // Pack evaluation of the same points.
-            DynamicsWorkspace pws(robot);
-            soa::LaneBatch lanes;
-            lanes.mask = soa::LaneBatch::fullMask(w);
-            std::vector<linalg::VectorX> o_fd(w), o_aba(w), o_rnea(w);
-            std::vector<FdDerivatives> o_dfd(w);
-            std::vector<linalg::MatrixX> o_minv(w), o_m(w);
-            linalg::VectorX *vp[soa::kMaxLaneWidth];
-            FdDerivatives *dp[soa::kMaxLaneWidth];
-            linalg::MatrixX *mp[soa::kMaxLaneWidth];
-            for (int l = 0; l < w; ++l) {
-                lanes.q[l] = &p.q[l];
-                lanes.qd[l] = &p.qd[l];
-                lanes.tau[l] = &p.tau[l];
-                lanes.qdd[l] = &s_aba[l];
-            }
+        // Pack evaluation of the same points.
+        DynamicsWorkspace pws(robot);
+        soa::LaneBatch lanes;
+        lanes.mask = soa::LaneBatch::kFullMask;
+        std::vector<linalg::VectorX> o_fd(w), o_aba(w), o_rnea(w);
+        std::vector<FdDerivatives> o_dfd(w);
+        std::vector<linalg::MatrixX> o_minv(w), o_m(w);
+        linalg::VectorX *vp[soa::kLaneWidth];
+        FdDerivatives *dp[soa::kLaneWidth];
+        linalg::MatrixX *mp[soa::kLaneWidth];
+        for (int l = 0; l < w; ++l) {
+            lanes.q[l] = &p.q[l];
+            lanes.qd[l] = &p.qd[l];
+            lanes.tau[l] = &p.tau[l];
+            lanes.qdd[l] = &s_aba[l];
+        }
 
-            for (int l = 0; l < w; ++l)
-                vp[l] = &o_fd[l];
-            soa::packForwardDynamics(robot, pws, w, lanes, vp);
-            for (int l = 0; l < w; ++l)
-                vp[l] = &o_aba[l];
-            soa::packAba(robot, pws, w, lanes, vp);
-            for (int l = 0; l < w; ++l)
-                vp[l] = &o_rnea[l];
-            soa::packRnea(robot, pws, w, lanes, vp);
-            for (int l = 0; l < w; ++l)
-                dp[l] = &o_dfd[l];
-            soa::packFdDerivatives(robot, pws, w, lanes, dp);
-            for (int l = 0; l < w; ++l)
-                mp[l] = &o_minv[l];
-            soa::packMinv(robot, pws, w, lanes, mp);
-            for (int l = 0; l < w; ++l)
-                mp[l] = &o_m[l];
-            soa::packCrba(robot, pws, w, lanes, mp);
+        for (int l = 0; l < w; ++l)
+            vp[l] = &o_fd[l];
+        soa::packForwardDynamics(robot, pws, lanes, vp);
+        for (int l = 0; l < w; ++l)
+            vp[l] = &o_aba[l];
+        soa::packAba(robot, pws, lanes, vp);
+        for (int l = 0; l < w; ++l)
+            vp[l] = &o_rnea[l];
+        soa::packRnea(robot, pws, lanes, vp);
+        for (int l = 0; l < w; ++l)
+            dp[l] = &o_dfd[l];
+        soa::packFdDerivatives(robot, pws, lanes, dp);
+        for (int l = 0; l < w; ++l)
+            mp[l] = &o_minv[l];
+        soa::packMinv(robot, pws, lanes, mp);
+        for (int l = 0; l < w; ++l)
+            mp[l] = &o_m[l];
+        soa::packCrba(robot, pws, lanes, mp);
 
-            for (int l = 0; l < w; ++l) {
-                SCOPED_TRACE(testing::Message() << "lane " << l);
-                expectBitwise(s_fd[l], o_fd[l], "FD qdd");
-                expectBitwise(s_aba[l], o_aba[l], "ABA qdd");
-                expectBitwise(s_rnea[l], o_rnea[l], "RNEA tau");
-                expectBitwise(s_dfd[l].qdd, o_dfd[l].qdd, "dFD qdd");
-                expectBitwise(s_dfd[l].minv, o_dfd[l].minv, "dFD minv");
-                expectBitwise(s_dfd[l].dqdd_dq, o_dfd[l].dqdd_dq,
-                              "dFD dqdd_dq");
-                expectBitwise(s_dfd[l].dqdd_dqd, o_dfd[l].dqdd_dqd,
-                              "dFD dqdd_dqd");
-                expectBitwise(s_minv[l], o_minv[l], "Minv");
-                expectBitwise(s_m[l], o_m[l], "CRBA M");
-            }
+        for (int l = 0; l < w; ++l) {
+            SCOPED_TRACE(testing::Message() << "lane " << l);
+            expectBitwise(s_fd[l], o_fd[l], "FD qdd");
+            expectBitwise(s_aba[l], o_aba[l], "ABA qdd");
+            expectBitwise(s_rnea[l], o_rnea[l], "RNEA tau");
+            expectBitwise(s_dfd[l].qdd, o_dfd[l].qdd, "dFD qdd");
+            expectBitwise(s_dfd[l].minv, o_dfd[l].minv, "dFD minv");
+            expectBitwise(s_dfd[l].dqdd_dq, o_dfd[l].dqdd_dq,
+                          "dFD dqdd_dq");
+            expectBitwise(s_dfd[l].dqdd_dqd, o_dfd[l].dqdd_dqd,
+                          "dFD dqdd_dqd");
+            expectBitwise(s_minv[l], o_minv[l], "Minv");
+            expectBitwise(s_m[l], o_m[l], "CRBA M");
         }
     }
 }
@@ -293,7 +291,7 @@ TEST(SoaParity, AllKernelsBitwiseMatchScalar)
 TEST(SoaMask, InactiveLanesNeverWritten)
 {
     const model::RobotModel robot = model::makeIiwa();
-    const int w = 8;
+    constexpr int w = soa::kLaneWidth;
     const unsigned mask = 0b00100101u; // lanes 0, 2, 5 active
     const Points p = randomPoints(robot, w);
 
@@ -307,7 +305,7 @@ TEST(SoaMask, InactiveLanesNeverWritten)
     soa::LaneBatch lanes;
     lanes.mask = mask;
     std::vector<FdDerivatives> got(w);
-    FdDerivatives *dp[soa::kMaxLaneWidth] = {};
+    FdDerivatives *dp[soa::kLaneWidth] = {};
     const double sentinel = -1234.5;
     for (int l = 0; l < w; ++l) {
         if (mask >> l & 1u) {
@@ -322,7 +320,7 @@ TEST(SoaMask, InactiveLanesNeverWritten)
             dp[l] = &got[l];
         }
     }
-    soa::packFdDerivatives(robot, pws, w, lanes, dp);
+    soa::packFdDerivatives(robot, pws, lanes, dp);
 
     for (int l = 0; l < w; ++l) {
         SCOPED_TRACE(testing::Message() << "lane " << l);
@@ -342,9 +340,8 @@ TEST(SoaMask, InactiveLanesNeverWritten)
 }
 
 // -----------------------------------------------------------------
-// Engine: ragged remainder + batch-width invariance. N = 13 runs as
-// one full pack of 8 plus 5 scalar points (or 3x4 + 1, or 13 scalar),
-// and every split produces identical bits.
+// Engine: full packs + ragged remainder. N = 13 runs as one full
+// pack of 8 plus 5 scalar points, and every point keeps its bits.
 // -----------------------------------------------------------------
 
 TEST(SoaEngine, RaggedRemainderMatchesScalarBitwise)
@@ -361,7 +358,6 @@ TEST(SoaEngine, RaggedRemainderMatchesScalarBitwise)
             fdDerivatives(robot, sws, p.q[i], p.qd[i], p.tau[i], want[i]);
 
         BatchedDynamics engine(robot, 1);
-        engine.setLaneWidth(8);
         const auto &got = engine.batchFdDerivatives(p.q, p.qd, p.tau);
         for (int i = 0; i < n; ++i) {
             SCOPED_TRACE(testing::Message() << "point " << i);
@@ -373,58 +369,51 @@ TEST(SoaEngine, RaggedRemainderMatchesScalarBitwise)
     }
 }
 
-TEST(SoaEngine, BatchWidthInvariantBitwise)
+// Batch sizes around the pack boundary, at 1 and 3 threads: the
+// chunk split moves the pack/remainder boundary per chunk, and no
+// split may change a point's bits against the per-point scalar
+// kernels.
+TEST(SoaEngine, MatchesPerPointScalarBitwise)
 {
+    constexpr int w = soa::kLaneWidth;
     const model::RobotModel robot = model::makeHyq();
-    const int n = 13;
-    const Points p = randomPoints(robot, n);
+    const int max_n = 2 * w + 3;
+    const Points p = randomPoints(robot, max_n);
 
-    // Reference: scalar path (lane width 1).
-    BatchedDynamics scalar_engine(robot, 1);
-    scalar_engine.setLaneWidth(1);
-    std::vector<linalg::VectorX> want_fd =
-        scalar_engine.batchForwardDynamics(p.q, p.qd, p.tau);
-    std::vector<FdDerivatives> want_dfd =
-        scalar_engine.batchFdDerivatives(p.q, p.qd, p.tau);
-    std::vector<linalg::MatrixX> want_minv = scalar_engine.batchMinv(p.q);
-
-    for (int w : {4, 8, 16}) {
-        SCOPED_TRACE(testing::Message() << "W=" << w);
-        BatchedDynamics engine(robot, 1);
-        engine.setLaneWidth(w);
-        EXPECT_EQ(engine.laneWidth(), w);
-        const auto &fd = engine.batchForwardDynamics(p.q, p.qd, p.tau);
-        for (int i = 0; i < n; ++i)
-            expectBitwise(want_fd[i], fd[i], "qdd");
-        const auto &dfd = engine.batchFdDerivatives(p.q, p.qd, p.tau);
-        for (int i = 0; i < n; ++i) {
-            expectBitwise(want_dfd[i].qdd, dfd[i].qdd, "dfd qdd");
-            expectBitwise(want_dfd[i].dqdd_dq, dfd[i].dqdd_dq,
-                          "dfd dqdd_dq");
-            expectBitwise(want_dfd[i].dqdd_dqd, dfd[i].dqdd_dqd,
-                          "dfd dqdd_dqd");
-            expectBitwise(want_dfd[i].minv, dfd[i].minv, "dfd minv");
-        }
-        const auto &minv = engine.batchMinv(p.q);
-        for (int i = 0; i < n; ++i)
-            expectBitwise(want_minv[i], minv[i], "minv");
+    DynamicsWorkspace sws(robot);
+    std::vector<linalg::VectorX> want_fd(max_n);
+    std::vector<FdDerivatives> want_dfd(max_n);
+    std::vector<linalg::MatrixX> want_minv(max_n);
+    for (int i = 0; i < max_n; ++i) {
+        forwardDynamics(robot, sws, p.q[i], p.qd[i], p.tau[i], want_fd[i]);
+        fdDerivatives(robot, sws, p.q[i], p.qd[i], p.tau[i], want_dfd[i]);
+        massMatrixInverse(robot, sws, p.q[i], want_minv[i]);
     }
-}
 
-TEST(SoaEngine, UnsupportedLaneWidthIgnored)
-{
-    const model::RobotModel robot = model::makeIiwa();
-    BatchedDynamics engine(robot, 1);
-    const int before = engine.laneWidth();
-    EXPECT_TRUE(before == 1 || soa::laneWidthSupported(before));
-    engine.setLaneWidth(5);
-    EXPECT_EQ(engine.laneWidth(), before);
-    engine.setLaneWidth(0);
-    EXPECT_EQ(engine.laneWidth(), before);
-    engine.setLaneWidth(4);
-    EXPECT_EQ(engine.laneWidth(), 4);
-    engine.setLaneWidth(1);
-    EXPECT_EQ(engine.laneWidth(), 1);
+    for (int threads : {1, 3}) {
+        BatchedDynamics engine(robot, threads);
+        for (int n : {1, w - 1, w, w + 1, max_n}) {
+            SCOPED_TRACE(testing::Message()
+                         << threads << " threads, n=" << n);
+            const auto &fd = engine.batchForwardDynamics(
+                p.q.data(), p.qd.data(), p.tau.data(), n);
+            for (int i = 0; i < n; ++i)
+                expectBitwise(want_fd[i], fd[i], "qdd");
+            const auto &dfd = engine.batchFdDerivatives(
+                p.q.data(), p.qd.data(), p.tau.data(), n);
+            for (int i = 0; i < n; ++i) {
+                expectBitwise(want_dfd[i].qdd, dfd[i].qdd, "dfd qdd");
+                expectBitwise(want_dfd[i].dqdd_dq, dfd[i].dqdd_dq,
+                              "dfd dqdd_dq");
+                expectBitwise(want_dfd[i].dqdd_dqd, dfd[i].dqdd_dqd,
+                              "dfd dqdd_dqd");
+                expectBitwise(want_dfd[i].minv, dfd[i].minv, "dfd minv");
+            }
+            const auto &minv = engine.batchMinv(p.q.data(), n);
+            for (int i = 0; i < n; ++i)
+                expectBitwise(want_minv[i], minv[i], "minv");
+        }
+    }
 }
 
 // -----------------------------------------------------------------
@@ -456,7 +445,6 @@ TEST(SoaZeroAlloc, PackedEngineSteadyState)
     const Points p = randomPoints(robot, n);
 
     BatchedDynamics engine(robot, 1);
-    engine.setLaneWidth(8);
     // Warm-up builds the SoA arenas and output vectors.
     engine.batchForwardDynamics(p.q, p.qd, p.tau);
     engine.batchFdDerivatives(p.q, p.qd, p.tau);

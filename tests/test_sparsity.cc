@@ -287,11 +287,14 @@ TEST_P(SparsityTest, MaskedSoaMatchesMaskedScalarBitwise)
                              scatteredSeed(robot.nv()), robot.nv()));
     ASSERT_FALSE(plan.dense());
 
-    BatchedDynamics engine(robot, 2);
-    engine.setLaneWidth(1); // pure scalar path
-    std::vector<FdDerivatives> scalar =
-        engine.batchFdDerivatives(in.q, in.qd, in.tau, &plan);
-    engine.setLaneWidth(8); // SoA packs + scalar remainder
+    // Reference: the gated scalar kernel, point by point.
+    DynamicsWorkspace ws(robot);
+    std::vector<FdDerivatives> scalar(13);
+    for (int i = 0; i < 13; ++i)
+        fdDerivatives(robot, ws, in.q[i], in.qd[i], in.tau[i], scalar[i],
+                      nullptr, &plan);
+
+    BatchedDynamics engine(robot, 2); // SoA packs + scalar remainder
     const std::vector<FdDerivatives> &soa =
         engine.batchFdDerivatives(in.q, in.qd, in.tau, &plan);
 
@@ -306,8 +309,8 @@ TEST_P(SparsityTest, MaskedSoaMatchesMaskedScalarBitwise)
 TEST_P(SparsityTest, GivenAccelSoaMatchesMaskedScalarBitwise)
 {
     // The batched ∆iFD path (q̈/M⁻¹ supplied, steps ④⑤⑥ only) is
-    // bitwise lane-width invariant — SoA packs vs the pure scalar
-    // fdDerivativesGivenAccel, under the same shared mask.
+    // bitwise equal to the scalar fdDerivativesGivenAccel run point
+    // by point under the same shared mask.
     const RobotModel robot = this->robot();
     const int nv = robot.nv();
     const Batch in = randomBatch(robot, 13, 72); // ragged remainder
@@ -332,12 +335,14 @@ TEST_P(SparsityTest, GivenAccelSoaMatchesMaskedScalarBitwise)
     for (int i = 0; i < 13; ++i)
         minv_ptrs.push_back(&minv[i]);
 
-    engine.setLaneWidth(1); // pure scalar path
-    const std::vector<FdDerivatives> scalar =
-        engine.batchFdDerivativesGivenAccel(in.q.data(), in.qd.data(),
-                                            qdd.data(), minv_ptrs.data(),
-                                            13, &plan);
-    engine.setLaneWidth(8); // SoA packs + scalar remainder
+    // Reference: the gated scalar kernel, point by point.
+    DynamicsWorkspace ws(robot);
+    std::vector<FdDerivatives> scalar(13);
+    for (int i = 0; i < 13; ++i)
+        fdDerivativesGivenAccel(robot, ws, in.q[i], in.qd[i], qdd[i],
+                                minv[i], scalar[i], nullptr, &plan);
+
+    // SoA packs + scalar remainder.
     const std::vector<FdDerivatives> &soa =
         engine.batchFdDerivativesGivenAccel(in.q.data(), in.qd.data(),
                                             qdd.data(), minv_ptrs.data(),

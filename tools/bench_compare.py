@@ -64,6 +64,18 @@ SPEC = {
         ("crit_hit_qos_2x", "min", 0.90),
         ("crit_hit_fifo_2x", "max", 0.90),
     ],
+    "BENCH_batched.json": [
+        ("schema_version", "exact", None),
+        ("lane_width", "exact", None),
+        # 1-thread SoA engine over the 1-thread scalar per-point loop,
+        # iiwa dFD at 128 points (best of 31 interleaved rounds): both
+        # sides run on the same core, so the ratio carries the SIMD
+        # lane gain without the host's clock. Twenty runs of the
+        # tier-1 build on a 4-vCPU Xeon VM spread 1.33-1.47 around a
+        # 1.43 median (largest deviation 6.7%); the band is three
+        # times that, and a lost SoA path (ratio ~1.0) falls outside.
+        ("soa_speedup", "rel", 0.20),
+    ],
     "BENCH_mpc.json": [
         ("schema_version", "exact", None),
         # Every robot x scenario solve must converge, always.
