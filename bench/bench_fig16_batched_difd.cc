@@ -162,6 +162,16 @@ measuredCpuSection(const RobotModel &robot, JsonReport &report)
         if (threads == 4) {
             report.add("batched_4t_speedup_vs_seed", pps / seed_pps);
             report.add("batched_4t_speedup_vs_1t", pps / ws_pps);
+            // Multi-core scaling of the engine itself: 4-thread rate
+            // over the 1-thread engine's, per effective thread (so a
+            // 2-core runner is judged against 2x, not 4x).
+            const double eff =
+                pps / (soa_pps * engines[e]->threadCount());
+            std::printf("%-34s %12.2f       (4t engine / (1t engine x "
+                        "%d threads))\n",
+                        "engine 4t efficiency:", eff,
+                        engines[e]->threadCount());
+            report.add("engine_4t_efficiency", eff);
         }
     }
 }

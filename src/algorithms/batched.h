@@ -1,29 +1,36 @@
 /**
  * @file
  * BatchedDynamics: multi-point dynamics evaluation across a thread
- * pool with one DynamicsWorkspace per worker chunk.
+ * pool with one DynamicsWorkspace per pool slot.
  *
  * The MPC application layer (Fig. 2/13 of the paper) evaluates
  * forward dynamics, its derivatives and the mass-matrix inverse at
  * ~100 independent horizon points per iteration — the
  * parallelizable dark-blue share of Fig. 2c. This engine is the CPU
  * analogue of the accelerator's batch pipelines: N independent
- * (q, q̇, τ) sample points are fanned out over app::ThreadPool in
- * contiguous chunks, each chunk evaluated through its own reusable
- * workspace, so the steady-state hot loop performs zero heap
- * allocations (dispatch included: the pool's runIndexed path has no
+ * (q, q̇, τ) sample points are cut into lane groups of the build's
+ * one lane width (soa::kLaneWidth; see src/algorithms/soa/), and
+ * the groups are claimed dynamically by the threads of
+ * app::ThreadPool — like tasks streaming into whichever function
+ * unit is free, a thread that is late or descheduled leaves its
+ * groups to the others instead of stalling the batch. Each group is
+ * evaluated through the workspace of the pool slot that claimed it,
+ * so the steady-state hot loop performs zero heap allocations
+ * (dispatch included: the pool's runIndexed path has no
  * std::function or queue-node allocation, and all outputs are
- * engine-owned storage reused across calls).
+ * engine-owned storage reused across calls). Idle workers spin
+ * briefly before parking, so back-to-back batches of a closed loop
+ * hand off without a futex wake-up; a batch of one group runs on
+ * the caller alone.
  *
- * Within a chunk, points are packed into SIMD lane packs of the
- * build's one lane width (soa::kLaneWidth; see src/algorithms/soa/)
- * and evaluated by the lane-parallel SoA kernels, with the ragged
- * remainder falling back to the scalar workspace kernels. The SoA
- * kernels mirror the scalar algorithms expression by expression, so
- * results stay bitwise identical to the single-point reference
- * regardless of thread count or where the remainder split falls:
- * chunking and packing only change which thread and which register
- * lane (not in which order, per point) the arithmetic runs.
+ * A full group is packed into SIMD lanes and evaluated by the
+ * lane-parallel SoA kernels; the ragged last group falls back to
+ * the scalar workspace kernels. The SoA kernels mirror the scalar
+ * algorithms expression by expression, so results stay bitwise
+ * identical to the single-point reference regardless of thread
+ * count: grouping and claiming only change which thread and which
+ * register lane (not in which order, per point) the arithmetic
+ * runs.
  */
 
 #ifndef DADU_ALGORITHMS_BATCHED_H
@@ -59,9 +66,9 @@ class BatchedDynamics
      *                hardware thread count (oversubscribing a
      *                CPU-bound batch never helps). The engine spawns
      *                threads - 1 pool workers; the calling thread
-     *                participates in every batch, so exactly
-     *                threadCount() chunks run concurrently, each
-     *                with its own workspace.
+     *                participates in every batch, so up to
+     *                threadCount() lane groups run concurrently,
+     *                each through its slot's workspace.
      */
     BatchedDynamics(const RobotModel &robot, int threads);
 
@@ -83,7 +90,7 @@ class BatchedDynamics
     /** Total parallelism (pool workers + the calling thread). */
     int threadCount() const { return pool_->threadCount() + 1; }
 
-    /** Number of per-chunk workspaces (== threadCount()). */
+    /** Number of per-slot workspaces (== threadCount()). */
     int workspaceCount() const
     {
         return static_cast<int>(workspaces_.size());
@@ -167,7 +174,10 @@ class BatchedDynamics
         Minv,
     };
 
-    static void runChunk(void *ctx, int chunk);
+    /** Build the lane arena of workspaces_[slot] on its own thread. */
+    static void prepareSlot(void *ctx, int index, int slot);
+    /** Evaluate lane group @p group through workspaces_[slot]. */
+    static void runGroup(void *ctx, int group, int slot);
     void dispatch(Mode mode, const VectorX *q, const VectorX *qd,
                   const VectorX *tau, int n,
                   const ColumnPlan *plan = nullptr,

@@ -910,6 +910,12 @@ mulMatNegIntoCols(const Pack<W> *m, const Pack<W> *o, Pack<W> *out, int n,
 // ----------------------------------------------------------- kernels
 
 void
+prepareArena(const RobotModel &robot, DynamicsWorkspace &ws)
+{
+    arenaFor(ws, robot);
+}
+
+void
 packForwardDynamics(const RobotModel &robot, DynamicsWorkspace &ws,
                     const LaneBatch &in, VectorX *const *qdd_out)
 {

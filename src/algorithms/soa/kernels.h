@@ -63,6 +63,14 @@ struct LaneBatch
 };
 
 /**
+ * Build @p ws's lane arena for @p robot now rather than on the first
+ * pack* call. The batched engine prepares every slot's workspace up
+ * front: which slot first runs a full lane group depends on the
+ * schedule, and a lazily built arena would allocate mid-stream.
+ */
+void prepareArena(const RobotModel &robot, DynamicsWorkspace &ws);
+
+/**
  * Forward dynamics q̈ = FD(q, q̇, τ) for one lane pack, on the same
  * MMinvGen route as the scalar forwardDynamics (steps ①②③).
  * @p qdd_out holds per-lane output pointers (ignored for inactive

@@ -19,7 +19,7 @@
  * the steady state (after the first call at a given model size).
  *
  * Workspaces are not thread-safe: use one workspace per thread (the
- * BatchedDynamics engine owns one per worker chunk).
+ * BatchedDynamics engine owns one per pool slot).
  */
 
 #ifndef DADU_ALGORITHMS_WORKSPACE_H

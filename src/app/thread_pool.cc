@@ -1,11 +1,50 @@
 #include "app/thread_pool.h"
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace dadu::app {
+
+namespace {
+
+/** Spin-wait hint: yields the core's pipeline to its SMT sibling. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    _mm_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+/**
+ * Spin until @p ready() holds or ThreadPool::kSpinBeforePark has
+ * elapsed; returns whether it holds. The clock is read once every 16
+ * relax hints, so the budget costs no syscall and little overshoot.
+ */
+template <class Ready>
+bool
+spinUntil(Ready ready)
+{
+    using Clock = std::chrono::steady_clock;
+    const auto deadline = Clock::now() + ThreadPool::kSpinBeforePark;
+    for (unsigned i = 1;; ++i) {
+        if (ready())
+            return true;
+        cpuRelax();
+        if ((i & 15u) == 0 && Clock::now() >= deadline)
+            return ready();
+    }
+}
+
+} // namespace
 
 ThreadPool::ThreadPool(int threads)
 {
     for (int i = 0; i < threads; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+        workers_.emplace_back([this, slot = i + 1] { workerLoop(slot); });
 }
 
 ThreadPool::~ThreadPool()
@@ -13,76 +52,93 @@ ThreadPool::~ThreadPool()
     {
         std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;
+        epoch_.fetch_add(1, std::memory_order_release); // end any spin
     }
-    cv_.notify_all();
+    work_cv_.notify_all();
     for (auto &w : workers_)
         w.join();
 }
 
 void
-ThreadPool::runIndexed(void (*task)(void *, int), void *ctx, int count)
+ThreadPool::runIndexed(Task task, void *ctx, int count)
 {
     if (count <= 0)
         return;
-    if (workers_.empty()) {
+    if (workers_.empty() || count == 1) {
         for (int i = 0; i < count; ++i)
-            task(ctx, i);
+            task(ctx, i, 0);
         return;
     }
     // One bulk dispatch owns the pool at a time; concurrent callers
-    // queue up here instead of corrupting each other's bulk_* state.
+    // queue up here instead of corrupting each other's batch state.
     std::lock_guard<std::mutex> gate(bulk_gate_);
+    bool wake;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        bulk_task_ = task;
-        bulk_ctx_ = ctx;
-        bulk_count_ = count;
-        bulk_next_ = 0;
-        bulk_done_ = 0;
+        task_ = task;
+        ctx_ = ctx;
+        count_ = count;
+        next_.store(0, std::memory_order_relaxed);
+        open_ = true;
+        epoch_.fetch_add(1, std::memory_order_release);
+        wake = parked_ > 0;
     }
-    cv_.notify_all();
-    // The calling thread claims indices alongside the workers.
-    while (true) {
-        int idx;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (bulk_next_ >= bulk_count_)
-                break;
-            idx = bulk_next_++;
-        }
-        task(ctx, idx);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (++bulk_done_ == bulk_count_)
-                done_cv_.notify_all();
-        }
+    // Spinning workers see the new epoch on their own; only parked
+    // ones need the futex.
+    if (wake)
+        work_cv_.notify_all();
+    for (int i = next_.fetch_add(1, std::memory_order_relaxed); i < count;
+         i = next_.fetch_add(1, std::memory_order_relaxed))
+        task(ctx, i, 0);
+    // Every index is claimed. Close the batch so a worker that wakes
+    // late cannot join it (or the next one's counter), then wait for
+    // the joined workers to finish their last claims.
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        open_ = false;
     }
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [this] { return bulk_done_ == bulk_count_; });
-    bulk_task_ = nullptr;
-    bulk_ctx_ = nullptr;
-    bulk_count_ = 0;
-    bulk_next_ = 0;
-    bulk_done_ = 0;
+    if (!spinUntil([this] {
+            return active_.load(std::memory_order_acquire) == 0;
+        })) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        idle_cv_.wait(lock, [this] {
+            return active_.load(std::memory_order_acquire) == 0;
+        });
+    }
 }
 
 void
-ThreadPool::workerLoop()
+ThreadPool::workerLoop(int slot)
 {
-    std::unique_lock<std::mutex> lock(mutex_);
+    std::uint64_t seen = 0;
     while (true) {
-        cv_.wait(lock,
-                 [this] { return stop_ || bulk_next_ < bulk_count_; });
-        if (bulk_next_ >= bulk_count_)
-            return; // stop_ with no bulk work left
-        const int idx = bulk_next_++;
-        void (*fn)(void *, int) = bulk_task_;
-        void *ctx = bulk_ctx_;
+        spinUntil([this, seen] {
+            return epoch_.load(std::memory_order_acquire) != seen;
+        });
+        std::unique_lock<std::mutex> lock(mutex_);
+        if (epoch_.load(std::memory_order_relaxed) == seen) {
+            ++parked_;
+            work_cv_.wait(lock, [this, seen] {
+                return epoch_.load(std::memory_order_relaxed) != seen;
+            });
+            --parked_;
+        }
+        if (stop_)
+            return;
+        seen = epoch_.load(std::memory_order_relaxed);
+        if (!open_)
+            continue; // woke after the batch closed: nothing to join
+        active_.fetch_add(1, std::memory_order_relaxed);
+        const Task task = task_;
+        void *const ctx = ctx_;
+        const int count = count_;
         lock.unlock();
-        fn(ctx, idx);
+        for (int i = next_.fetch_add(1, std::memory_order_relaxed);
+             i < count; i = next_.fetch_add(1, std::memory_order_relaxed))
+            task(ctx, i, slot);
         lock.lock();
-        if (++bulk_done_ == bulk_count_)
-            done_cv_.notify_all();
+        if (active_.fetch_sub(1, std::memory_order_release) == 1)
+            idle_cv_.notify_one();
     }
 }
 

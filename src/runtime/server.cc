@@ -738,7 +738,6 @@ bool
 DynamicsServer::serveOne(int lane_id)
 {
     Lane &lane = lanes_[lane_id];
-    DynamicsBackend *backend = nullptr;
     FunctionType fn{};
     const DynamicsRequest *requests = nullptr;
     DynamicsResult *results = nullptr;
@@ -782,7 +781,6 @@ DynamicsServer::serveOne(int lane_id)
                 ++sched_stats_.steals;
             }
         }
-        backend = lane.backend;
         fn = jobRef(lane.picked.front().job).fn;
         merged = lane.picked.size() > 1;
         if (merged) {
@@ -853,23 +851,64 @@ DynamicsServer::serveOne(int lane_id)
         results = lane.co_res.data();
     }
 
+    BatchStats stats;
+    const SubmitStatus status =
+        executeBatch(lane_id, fn, requests, results, total, stats);
+    if (status == SubmitStatus::InvalidRequest) {
+        // A malformed request (wrong input shape, bad seed set) is a
+        // CLIENT error: the lane is healthy, so no retry and no
+        // quarantine. Submit-time validation rejects bad seed sets up
+        // front; this arm fires for shape errors and for a bad mask
+        // an advance callback builds mid-job. One client's bad
+        // request must not fail the jobs it was coalesced with, so a
+        // merged batch is resubmitted item by item.
+        if (merged)
+            servePickedAlone(lane_id, fn);
+        else
+            failPicked(lane_id);
+        return true; // progress: the bad batch left the queue
+    }
+    if (status != SubmitStatus::Ok) {
+        failLane(lane_id);
+        return true; // progress was made: the lane's work moved on
+    }
+
+    if (merged) {
+        std::size_t off = 0;
+        for (std::size_t i = 0; i < lane.picked.size(); ++i) {
+            for (std::size_t j = 0; j < lane.picked[i].count; ++j)
+                copyResultFields(fn, lane.co_res[off + j],
+                                 lane.picked_res[i][j]);
+            off += lane.picked[i].count;
+        }
+    }
+    completePicked(lane_id, stats, total);
+    return true;
+}
+
+SubmitStatus
+DynamicsServer::executeBatch(int lane_id, FunctionType fn,
+                             const DynamicsRequest *requests,
+                             DynamicsResult *results, std::size_t total,
+                             BatchStats &stats)
+{
     // Bounded-retry execution: a TransientFailure (or a batch that
     // fails NaN validation) is resubmitted to the same backend up to
     // max_retries times; BackendDown or an exhausted budget
     // quarantines the lane and fails its work over.
+    Lane &lane = lanes_[lane_id];
     obs::TraceRing *ring = trace_ ? &trace_->lane(lane_id) : nullptr;
     const int primary = lane.picked.front().job;
     if (ring)
         ring->record(obs::EventKind::ExecBegin, perf::nowUs(), primary,
                      static_cast<std::int16_t>(lane_id), fn,
                      static_cast<std::uint32_t>(total));
-    BatchStats stats;
     SubmitStatus status = SubmitStatus::Ok;
     std::size_t n_transient = 0, n_retries = 0, n_corrupt = 0;
     const int attempts = 1 + std::max(0, sched_cfg_.max_retries);
     for (int attempt = 0; attempt < attempts; ++attempt) {
         stats = BatchStats{};
-        status = backend->submit(fn, requests, total, results, &stats);
+        status = lane.backend->submit(fn, requests, total, results, &stats);
         if (status == SubmitStatus::Ok && sched_cfg_.validate_results &&
             !resultsFinite(fn, results, total))
         {
@@ -903,59 +942,75 @@ DynamicsServer::serveOne(int lane_id)
             metrics_->add(obs::Counter::Retries, n_retries);
         }
     }
-    if (status == SubmitStatus::InvalidRequest) {
-        // A malformed request (wrong input shape, bad seed set) is a
-        // CLIENT error: the lane is healthy, so no retry and no
-        // quarantine. Submit-time validation rejects bad seed sets up
-        // front; this arm fires for shape errors and for a bad mask
-        // an advance callback builds mid-job. The picked jobs fail
-        // explicitly — wait() returns, outcome says why.
-        std::lock_guard<std::mutex> lock(mu_);
-        bool any_done = false;
-        for (const WorkItem &item : lane.picked) {
-            Job &job = jobRef(item.job);
-            lane.load_weight -= job.unit_weight * item.count;
-            job.outcome = JobOutcome::Failed;
-            if (--job.remaining == 0) {
-                job.done = true;
-                job.done_at_us = perf::nowUs();
-                ++sched_stats_.failed_jobs;
-                --pending_jobs_;
-                any_done = true;
-                if (trace_)
-                    trace_->control().record(
-                        obs::EventKind::Failed, job.done_at_us,
-                        item.job, static_cast<std::int16_t>(lane_id),
-                        job.fn,
-                        static_cast<std::uint32_t>(job.outcome),
-                        job.done_at_us - job.submit_at_us);
-                if (metrics_)
-                    metrics_->add(obs::Counter::JobsFailed);
-            }
-        }
-        lane.picked.clear();
-        lane.picked_req.clear();
-        lane.picked_res.clear();
-        if (any_done)
-            done_cv_.notify_all();
-        return true; // progress: the bad batch left the queue
-    }
-    if (status != SubmitStatus::Ok) {
-        failLane(lane_id);
-        return true; // progress was made: the lane's work moved on
-    }
+    return status;
+}
 
-    if (merged) {
-        std::size_t off = 0;
-        for (std::size_t i = 0; i < lane.picked.size(); ++i) {
-            for (std::size_t j = 0; j < lane.picked[i].count; ++j)
-                copyResultFields(fn, lane.co_res[off + j],
-                                 lane.picked_res[i][j]);
-            off += lane.picked[i].count;
+void
+DynamicsServer::failPicked(int lane_id)
+{
+    // The picked jobs fail explicitly — wait() returns, outcome says
+    // why.
+    std::lock_guard<std::mutex> lock(mu_);
+    Lane &lane = lanes_[lane_id];
+    bool any_done = false;
+    for (const WorkItem &item : lane.picked) {
+        Job &job = jobRef(item.job);
+        lane.load_weight -= job.unit_weight * item.count;
+        job.outcome = JobOutcome::Failed;
+        if (--job.remaining == 0) {
+            job.done = true;
+            job.done_at_us = perf::nowUs();
+            ++sched_stats_.failed_jobs;
+            --pending_jobs_;
+            any_done = true;
+            if (trace_)
+                trace_->control().record(
+                    obs::EventKind::Failed, job.done_at_us, item.job,
+                    static_cast<std::int16_t>(lane_id), job.fn,
+                    static_cast<std::uint32_t>(job.outcome),
+                    job.done_at_us - job.submit_at_us);
+            if (metrics_)
+                metrics_->add(obs::Counter::JobsFailed);
         }
     }
-    completePicked(lane_id, stats, total);
-    return true;
+    lane.picked.clear();
+    lane.picked_req.clear();
+    lane.picked_res.clear();
+    if (any_done)
+        done_cv_.notify_all();
+}
+
+void
+DynamicsServer::servePickedAlone(int lane_id, FunctionType fn)
+{
+    // Each item of the rejected merged batch runs as a solo pick,
+    // straight into its caller storage: only items the backend
+    // rejects again fail. Error path, so the copies may allocate.
+    Lane &lane = lanes_[lane_id];
+    const std::vector<WorkItem> items = lane.picked;
+    const std::vector<const DynamicsRequest *> reqs = lane.picked_req;
+    const std::vector<DynamicsResult *> res = lane.picked_res;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        lane.picked.assign(1, items[i]);
+        lane.picked_req.assign(1, reqs[i]);
+        lane.picked_res.assign(1, res[i]);
+        BatchStats stats;
+        const SubmitStatus status = executeBatch(
+            lane_id, fn, reqs[i], res[i], items[i].count, stats);
+        if (status == SubmitStatus::Ok) {
+            completePicked(lane_id, stats, items[i].count);
+        } else if (status == SubmitStatus::InvalidRequest) {
+            failPicked(lane_id);
+        } else {
+            // A lane fault: the lane still owes this item and every
+            // one after it, and fails them over together.
+            lane.picked.assign(items.begin() + i, items.end());
+            lane.picked_req.assign(reqs.begin() + i, reqs.end());
+            lane.picked_res.assign(res.begin() + i, res.end());
+            failLane(lane_id);
+            return;
+        }
+    }
 }
 
 void

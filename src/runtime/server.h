@@ -529,6 +529,23 @@ class DynamicsServer
     void failLane(int lane);
     /** Pop + execute one policy pick on @p lane. WITHOUT mu_ held. */
     bool serveOne(int lane);
+    /**
+     * Submit one batch of the lane's current pick with bounded
+     * retries (WITHOUT mu_); books transient faults and traces the
+     * execution. Returns the final status.
+     */
+    SubmitStatus executeBatch(int lane, FunctionType fn,
+                              const DynamicsRequest *requests,
+                              DynamicsResult *results, std::size_t total,
+                              BatchStats &stats);
+    /** Fail every item of the lane's current pick (client error). */
+    void failPicked(int lane);
+    /**
+     * The backend rejected a merged pick as malformed: resubmit each
+     * item alone (WITHOUT mu_), so only the items whose solo submit
+     * is rejected fail and the jobs coalesced with them complete.
+     */
+    void servePickedAlone(int lane, FunctionType fn);
     /** Batch completion for every item of the lane's current pick:
      *  accounting, deadline check, stage chaining, shard merge. */
     void completePicked(int lane, const BatchStats &stats,

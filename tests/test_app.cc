@@ -22,52 +22,138 @@ using namespace dadu::app;
 using dadu::accel::Accelerator;
 using dadu::model::makeQuadrupedArm;
 
+/** Per-dispatch bookkeeping for the slot-contract tests. */
+struct SlotProbe
+{
+    explicit SlotProbe(int count, int slots)
+        : hits(static_cast<std::size_t>(count)),
+          in_use(static_cast<std::size_t>(slots))
+    {
+        for (auto &h : hits)
+            h.store(0);
+        for (auto &u : in_use)
+            u.store(false);
+    }
+
+    std::vector<std::atomic<int>> hits;
+    std::vector<std::atomic<bool>> in_use;
+    std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> bad_slot{0};      ///< slot outside [0, threads]
+    std::atomic<int> shared_slot{0};   ///< slot entered twice at once
+    std::atomic<int> slot0_foreign{0}; ///< slot 0 off the caller
+
+    static void task(void *ctx, int i, int slot)
+    {
+        auto &p = *static_cast<SlotProbe *>(ctx);
+        if (slot < 0 || slot >= static_cast<int>(p.in_use.size())) {
+            ++p.bad_slot;
+            return;
+        }
+        if (p.in_use[slot].exchange(true))
+            ++p.shared_slot;
+        if (slot == 0 && std::this_thread::get_id() != p.caller)
+            ++p.slot0_foreign;
+        // A little work per index so several threads overlap.
+        volatile double sink = 0.0;
+        for (int k = 0; k < 200; ++k)
+            sink = sink + k;
+        ++p.hits[i];
+        p.in_use[slot].store(false);
+    }
+};
+
 TEST(ThreadPool, RunIndexedCoversEveryIndexOnce)
 {
     ThreadPool pool(3);
-    std::vector<std::atomic<int>> hits(257);
+    for (int count : {1, 2, 257, 4096}) {
+        SCOPED_TRACE(testing::Message() << "count " << count);
+        SlotProbe probe(count, pool.threadCount() + 1);
+        pool.runIndexed(&SlotProbe::task, &probe, count);
+        for (int i = 0; i < count; ++i)
+            ASSERT_EQ(probe.hits[i].load(), 1) << "index " << i;
+        EXPECT_EQ(probe.bad_slot.load(), 0);
+        EXPECT_EQ(probe.shared_slot.load(), 0);
+        EXPECT_EQ(probe.slot0_foreign.load(), 0);
+    }
+}
+
+TEST(ThreadPool, WorkerlessPoolRunsInlineAsSlotZero)
+{
+    ThreadPool pool(0);
+    SlotProbe probe(5, 1);
+    pool.runIndexed(&SlotProbe::task, &probe, 5);
+    for (int i = 0; i < 5; ++i)
+        EXPECT_EQ(probe.hits[i].load(), 1) << "index " << i;
+    EXPECT_EQ(probe.bad_slot.load(), 0);
+    EXPECT_EQ(probe.slot0_foreign.load(), 0);
+}
+
+TEST(ThreadPool, BackToBackSmallDispatchesComplete)
+{
+    // Tiny batches in a tight loop keep the workers spinning between
+    // them; a pause every 1000 lets their spin budget lapse, so both
+    // spin-to-park and park-to-spin transitions are crossed.
+    ThreadPool pool(3);
+    std::vector<std::atomic<int>> hits(3);
     for (auto &h : hits)
         h.store(0);
-    pool.runIndexed(
-        [](void *ctx, int i) {
-            ++(*static_cast<std::vector<std::atomic<int>> *>(ctx))[i];
-        },
-        &hits, 257);
-    for (int i = 0; i < 257; ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    constexpr int kDispatches = 10000;
+    for (int rep = 0; rep < kDispatches; ++rep) {
+        pool.runIndexed(
+            [](void *ctx, int i, int) {
+                ++(*static_cast<std::vector<std::atomic<int>> *>(ctx))[i];
+            },
+            &hits, 3);
+        if (rep % 1000 == 999)
+            std::this_thread::sleep_for(ThreadPool::kSpinBeforePark * 4);
+    }
+    for (int i = 0; i < 3; ++i)
+        EXPECT_EQ(hits[i].load(), kDispatches) << "index " << i;
+}
+
+TEST(ThreadPool, DestroyWhileWorkersSpinJoins)
+{
+    // Destroyed right after a dispatch, while the workers are still
+    // inside their spin budget; and destroyed with parked workers.
+    for (int rep = 0; rep < 50; ++rep) {
+        std::atomic<int> sum{0};
+        {
+            ThreadPool pool(3);
+            pool.runIndexed(
+                [](void *ctx, int i, int) {
+                    *static_cast<std::atomic<int> *>(ctx) += i;
+                },
+                &sum, 64);
+        }
+        EXPECT_EQ(sum.load(), 64 * 63 / 2);
+    }
+    ThreadPool parked(3);
+    std::this_thread::sleep_for(ThreadPool::kSpinBeforePark * 4);
 }
 
 TEST(ThreadPool, ConcurrentRunIndexedCallersDoNotInterfere)
 {
-    // Regression: runIndexed's bulk_* dispatch state was shared and
+    // Regression: runIndexed's dispatch state was shared and
     // unguarded across callers, so two concurrent bulk dispatches
     // clobbered each other's task/ctx/count and silently corrupted
     // the index space. Dispatches are now serialized on an internal
     // gate: each caller must see every one of ITS indices exactly
-    // once, run with ITS context.
+    // once, run with ITS context, and be slot 0 of its own dispatch.
     ThreadPool pool(3);
     constexpr int kCallers = 4, kCount = 512, kReps = 8;
-    struct Caller
-    {
-        std::vector<std::atomic<int>> hits =
-            std::vector<std::atomic<int>>(kCount);
-    };
-    std::vector<Caller> callers(kCallers);
     std::vector<std::thread> threads;
     for (int c = 0; c < kCallers; ++c) {
-        threads.emplace_back([&pool, &callers, c] {
+        threads.emplace_back([&pool, c] {
             for (int rep = 0; rep < kReps; ++rep) {
-                for (auto &h : callers[c].hits)
-                    h.store(0);
-                pool.runIndexed(
-                    [](void *ctx, int i) {
-                        ++(*static_cast<Caller *>(ctx)).hits[i];
-                    },
-                    &callers[c], kCount);
+                SlotProbe probe(kCount, pool.threadCount() + 1);
+                pool.runIndexed(&SlotProbe::task, &probe, kCount);
                 for (int i = 0; i < kCount; ++i)
-                    ASSERT_EQ(callers[c].hits[i].load(), 1)
+                    ASSERT_EQ(probe.hits[i].load(), 1)
                         << "caller " << c << " rep " << rep
                         << " index " << i;
+                ASSERT_EQ(probe.bad_slot.load(), 0);
+                ASSERT_EQ(probe.shared_slot.load(), 0);
+                ASSERT_EQ(probe.slot0_foreign.load(), 0);
             }
         });
     }

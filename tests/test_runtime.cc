@@ -445,6 +445,47 @@ TEST(DynamicsServer, MalformedShapeFailsWithoutRetryOrQuarantine)
     EXPECT_EQ(server.jobOutcome(ok), runtime::JobOutcome::Completed);
 }
 
+TEST(DynamicsServer, CoalescedMalformedShapeFailsOnlyItsOwnJob)
+{
+    // A well-formed job coalesced with another client's malformed
+    // one: the merged batch is rejected, each job is resubmitted
+    // alone, and only the malformed job fails (no retry, no
+    // quarantine). The good job's results match a solo run bitwise.
+    const RobotModel robot = model::makeIiwa();
+    runtime::CpuBatchedBackend backend(robot, 1);
+    runtime::DynamicsServer server(backend);
+    runtime::sched::SchedConfig cfg;
+    cfg.coalesce = true;
+    server.setPolicy(cfg);
+
+    const auto good = randomRequests(robot, 4, 46);
+    auto bad = randomRequests(robot, 3, 47);
+    bad[1].q.resize(robot.nq() - 1);
+    std::vector<DynamicsResult> good_res(4), bad_res(3);
+    const int g =
+        server.submit(FunctionType::FD, good.data(), 4, good_res.data());
+    const int b =
+        server.submit(FunctionType::FD, bad.data(), 3, bad_res.data());
+    runtime::sched::SchedStats st;
+    server.drain(nullptr, &st);
+    EXPECT_EQ(server.jobOutcome(g), runtime::JobOutcome::Completed);
+    EXPECT_EQ(server.jobOutcome(b), runtime::JobOutcome::Failed);
+    EXPECT_EQ(st.coalesced_batches, 1u);
+    EXPECT_EQ(st.failed_jobs, 1u);
+    EXPECT_EQ(st.transient_faults, 0u);
+    EXPECT_EQ(st.retries, 0u);
+    EXPECT_EQ(st.lane_deaths, 0u);
+    EXPECT_TRUE(server.laneHealthy(0));
+
+    runtime::CpuBatchedBackend solo(robot, 1);
+    std::vector<DynamicsResult> want(4);
+    ASSERT_EQ(solo.submit(FunctionType::FD, good.data(), 4, want.data(),
+                          nullptr),
+              runtime::SubmitStatus::Ok);
+    for (int i = 0; i < 4; ++i)
+        dadu::tests::expectBitwiseEqual(good_res[i].qdd, want[i].qdd);
+}
+
 // ---------------------------------------------------------------------
 // DynamicsServer
 // ---------------------------------------------------------------------

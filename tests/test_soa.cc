@@ -369,30 +369,42 @@ TEST(SoaEngine, RaggedRemainderMatchesScalarBitwise)
     }
 }
 
-// Batch sizes around the pack boundary, at 1 and 3 threads: the
-// chunk split moves the pack/remainder boundary per chunk, and no
-// split may change a point's bits against the per-point scalar
-// kernels.
+// Batch sizes from one point to many lane groups, at 1 to 4
+// threads: groups are claimed dynamically, so which thread (and which
+// slot's workspace) runs a group changes from call to call, and the
+// ragged last group takes the scalar path. No schedule may change a
+// point's bits against the per-point scalar kernels.
 TEST(SoaEngine, MatchesPerPointScalarBitwise)
 {
     constexpr int w = soa::kLaneWidth;
     const model::RobotModel robot = model::makeHyq();
-    const int max_n = 2 * w + 3;
+    const std::vector<int> sizes = {1,      w - 1,  w,         w + 1,
+                                    8 * w,  32 * w, 32 * w + 3};
+    const int max_n = sizes.back();
     const Points p = randomPoints(robot, max_n);
 
     DynamicsWorkspace sws(robot);
     std::vector<linalg::VectorX> want_fd(max_n);
-    std::vector<FdDerivatives> want_dfd(max_n);
+    std::vector<FdDerivatives> want_dfd(max_n), want_difd(max_n);
     std::vector<linalg::MatrixX> want_minv(max_n);
+    std::vector<const linalg::MatrixX *> minv_in(max_n);
     for (int i = 0; i < max_n; ++i) {
         forwardDynamics(robot, sws, p.q[i], p.qd[i], p.tau[i], want_fd[i]);
         fdDerivatives(robot, sws, p.q[i], p.qd[i], p.tau[i], want_dfd[i]);
         massMatrixInverse(robot, sws, p.q[i], want_minv[i]);
+        // ∆iFD runs on the dense ∆FD's q̈ and M⁻¹.
+        minv_in[i] = &want_dfd[i].minv;
+        fdDerivativesGivenAccel(robot, sws, p.q[i], p.qd[i],
+                                want_dfd[i].qdd, want_dfd[i].minv,
+                                want_difd[i]);
     }
+    std::vector<linalg::VectorX> qdd_in(max_n);
+    for (int i = 0; i < max_n; ++i)
+        qdd_in[i] = want_dfd[i].qdd;
 
-    for (int threads : {1, 3}) {
+    for (int threads : {1, 2, 3, 4}) {
         BatchedDynamics engine(robot, threads);
-        for (int n : {1, w - 1, w, w + 1, max_n}) {
+        for (int n : sizes) {
             SCOPED_TRACE(testing::Message()
                          << threads << " threads, n=" << n);
             const auto &fd = engine.batchForwardDynamics(
@@ -408,6 +420,14 @@ TEST(SoaEngine, MatchesPerPointScalarBitwise)
                 expectBitwise(want_dfd[i].dqdd_dqd, dfd[i].dqdd_dqd,
                               "dfd dqdd_dqd");
                 expectBitwise(want_dfd[i].minv, dfd[i].minv, "dfd minv");
+            }
+            const auto &difd = engine.batchFdDerivativesGivenAccel(
+                p.q.data(), p.qd.data(), qdd_in.data(), minv_in.data(), n);
+            for (int i = 0; i < n; ++i) {
+                expectBitwise(want_difd[i].dqdd_dq, difd[i].dqdd_dq,
+                              "difd dqdd_dq");
+                expectBitwise(want_difd[i].dqdd_dqd, difd[i].dqdd_dqd,
+                              "difd dqdd_dqd");
             }
             const auto &minv = engine.batchMinv(p.q.data(), n);
             for (int i = 0; i < n; ++i)

@@ -75,6 +75,16 @@ SPEC = {
         # 1.43 median (largest deviation 6.7%); the band is three
         # times that, and a lost SoA path (ratio ~1.0) falls outside.
         ("soa_speedup", "rel", 0.20),
+        # 4-thread engine over the 1-thread engine, per effective
+        # thread, same interleaved best-of rounds. Twelve runs of the
+        # tier-1 build on a 4-vCPU KVM Xeon VM spread 0.196-0.230
+        # around a 0.217 median (largest deviation 0.021): each timed
+        # sweep is one isolated 128-point batch, and on that host the
+        # parked workers it wakes are queued onto the caller's CPU.
+        # The floor is the median less three times that deviation, so
+        # better scaling on another host never fails it, and a 4-thread
+        # engine at ~0.6x of the 1-thread one does.
+        ("engine_4t_efficiency", "min", 0.15),
     ],
     "BENCH_mpc.json": [
         ("schema_version", "exact", None),
