@@ -555,14 +555,4 @@ MpcWorkload::serveClosedLoopClients(runtime::DynamicsServer &server,
     return report;
 }
 
-double
-MpcWorkload::acceleratedIterationUs(Accelerator &accel)
-{
-    // The accelerated MPC number is backed by real simulated
-    // execution: every FD/∆FD batch runs through the cycle-accurate
-    // pipelines (not the closed-form estimates).
-    runtime::AcceleratorBackend backend(accel);
-    return backendIterationUs(backend);
-}
-
 } // namespace dadu::app

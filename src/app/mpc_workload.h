@@ -215,14 +215,6 @@ class MpcWorkload
     }
 
     /**
-     * Iteration time with the dynamics tasks offloaded to @p accel:
-     * FD + ∆FD batches execute on the cycle-accurate simulator
-     * through an AcceleratorBackend (Fig. 13 interleaving of the
-     * four serial RK4 stages), while the CPU keeps the solver sweep.
-     */
-    double acceleratedIterationUs(Accelerator &accel);
-
-    /**
      * Heavy-traffic scenario: @p clients MPC clients, each on its
      * own thread, submit @p rounds iterations of their dynamics
      * phases to @p server concurrently — the LQ ∆FD batch sharded

@@ -100,7 +100,7 @@ IlqrSolver::IlqrSolver(const RobotModel &robot, OcpProblem problem,
     Qux_.resize(nv_, nx);
     Quu_.resize(nv_, nv_);
     VA_.resize(nx, nx);
-    VB_.resize(nx, nv_);
+    VB_.resize(nv_, nv_);
     QuuK_.resize(nv_, nx);
     KQux_.resize(nx, nx);
     rhs_.resize(nv_, 1 + nx);
@@ -113,6 +113,14 @@ IlqrSolver::IlqrSolver(const RobotModel &robot, OcpProblem problem,
     dq_.resize(nv_);
     dqd_.resize(nv_);
     eq_.resize(nv_);
+
+    for (int b = 0; b < robot_.nb(); ++b) {
+        const auto &link = robot_.link(b);
+        if (link.joint == model::JointType::Spherical)
+            joint_blocks_.emplace_back(link.vIndex, 3);
+        else if (link.joint == model::JointType::Floating)
+            joint_blocks_.emplace_back(link.vIndex, 6);
+    }
 
     if (opts_.gating != algo::GatingMode::None) {
         fq_cache_.assign(N, MatrixX(nv_, nv_));
@@ -499,16 +507,79 @@ IlqrSolver::backwardPass()
             Qu_[j] += prob_.wu * (u_[k][j] - (ur ? (*ur)[j] : 0.0));
         grad_norm_ = std::max(grad_norm_, Qu_.maxAbs());
 
-        // Q-function Hessians.
-        Vxx_.multiplyInto(A_, VA_);
-        A_.transposeMultiplyInto(VA_, Qxx_);
+        // Q-function Hessians, as block products over
+        //   A = [ T_q   T_v  ]   B = [ 0   ]
+        //       [ A_bq  A_bv ]       [ B_b ]
+        // with T_q = I and T_v = h·I outside the joint blocks. Each
+        // is the dense MatrixX product (ascending shared index, zero
+        // entries of the left operand skipped) minus terms of A's and
+        // B's structural zeros. For finite Vxx and A a dropped term
+        // is x·(±0) = ±0, and a running sum that starts at +0.0 never
+        // becomes -0.0 in round-to-nearest, so adding ±0 would not
+        // have changed it: every product stays bitwise equal to the
+        // dense one. Sums start from 0.0 (a plain copy would keep a
+        // -0.0 the dense sum turns into +0.0) and take the top-row
+        // terms before the bottom rows, as the dense loop does. The
+        // joint blocks keep their zero entries; those terms are ±0 too.
+        //
+        // VA = Vxx·A: T terms, then Vxx[:, n:]·A[n:, :].
+        for (int i = 0; i < nx; ++i) {
+            for (int c = 0; c < n; ++c) {
+                VA_(i, c) = 0.0 + Vxx_(i, c) * 1.0;
+                VA_(i, n + c) = 0.0 + Vxx_(i, c) * h;
+            }
+        }
+        const auto clear = [](linalg::MatView v) {
+            for (std::size_t i = 0; i < v.rows; ++i)
+                for (std::size_t j = 0; j < v.cols; ++j)
+                    v.p[i * v.stride + j] = 0.0;
+        };
+        for (const auto &[vi, s] : joint_blocks_) {
+            for (int half = 0; half < nx; half += n) {
+                const linalg::MatView va =
+                    VA_.mutableView(0, half + vi, nx, s);
+                clear(va);
+                linalg::gemmAccumulate(Vxx_.view(0, vi, nx, s),
+                                       A_.view(vi, half + vi, s, s), va);
+            }
+        }
+        linalg::gemmAccumulate(Vxx_.view(0, n, nx, n),
+                               A_.view(n, 0, n, nx), VA_.mutableView());
+        // Qxx = Aᵀ·VA: T terms, then A[n:, :]ᵀ·VA[n:, :].
+        for (int i = 0; i < n; ++i) {
+            for (int j = 0; j < nx; ++j) {
+                Qxx_(i, j) = 0.0 + 1.0 * VA_(i, j);
+                Qxx_(n + i, j) = 0.0 + h * VA_(i, j);
+            }
+        }
+        for (const auto &[vi, s] : joint_blocks_) {
+            for (int half = 0; half < nx; half += n) {
+                const linalg::MatView q =
+                    Qxx_.mutableView(half + vi, 0, s, nx);
+                clear(q);
+                linalg::gemmTransposeAccumulate(
+                    A_.view(vi, half + vi, s, s), VA_.view(vi, 0, s, nx), q);
+            }
+        }
+        linalg::gemmTransposeAccumulate(A_.view(n, 0, n, nx),
+                                        VA_.view(n, 0, n, nx),
+                                        Qxx_.mutableView());
         for (int j = 0; j < n; ++j) {
             Qxx_(j, j) += prob_.wq;
             Qxx_(n + j, n + j) += prob_.wqd;
         }
-        B_.transposeMultiplyInto(VA_, Qux_);
-        Vxx_.multiplyInto(B_, VB_);
-        B_.transposeMultiplyInto(VB_, Quu_);
+        // B's zero top rows were skipped by the dense products too.
+        const linalg::ConstMatView b_bot = B_.view(n, 0, n, n);
+        Qux_.setZero();
+        linalg::gemmTransposeAccumulate(b_bot, VA_.view(n, 0, n, nx),
+                                        Qux_.mutableView());
+        // Only the bottom rows of Vxx·B = Vxx[:, n:]·B_b feed Quu.
+        VB_.setZero();
+        linalg::gemmAccumulate(Vxx_.view(n, n, n, n), b_bot,
+                               VB_.mutableView());
+        Quu_.setZero();
+        linalg::gemmTransposeAccumulate(b_bot, VB_.view(),
+                                        Quu_.mutableView());
         for (int j = 0; j < n; ++j)
             Quu_(j, j) += prob_.wu + reg_;
 
@@ -676,13 +747,18 @@ IlqrSolver::iterateInner(DynamicsChannel &channel)
         return false;
     if (!lin_valid_)
         linearize(channel);
-    while (!backwardPass()) {
+    const double t_backward = perf::nowUs();
+    bool swept;
+    while (!(swept = backwardPass())) {
         reg_ = std::max(reg_ * 10.0, 10.0 * opts_.reg_init);
         if (reg_ > opts_.reg_max) {
             stalled_ = true;
-            return false;
+            break;
         }
     }
+    backward_us_ += perf::nowUs() - t_backward;
+    if (!swept)
+        return false;
 
     double alpha = 1.0;
     for (int t = 0; t < opts_.max_line_search; ++t, alpha *= 0.5) {
@@ -715,6 +791,7 @@ IlqrSolver::solve(DynamicsChannel &channel, const VectorX &q0,
     stalled_ = false;
     reg_ = opts_.reg_init;
     costs_.clear();
+    backward_us_ = 0.0;
     rolloutNominal(channel);
     costs_.push_back(cost_);
 
@@ -743,6 +820,7 @@ IlqrSolver::solve(DynamicsChannel &channel, const VectorX &q0,
     }
     summary.cost = cost_;
     summary.grad_norm = grad_norm_;
+    summary.backward_us = backward_us_;
     return summary;
 }
 

@@ -28,6 +28,7 @@
 #define DADU_CTRL_ILQR_H
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "ctrl/problem.h"
@@ -88,6 +89,7 @@ struct IlqrSummary
     double cost = 0.0;       ///< cost of the returned trajectory
     double grad_norm = 0.0;  ///< max_k ‖Qu_k‖∞ at the last backward pass
     bool converged = false;  ///< a tolerance was met (not stalled/maxed)
+    double backward_us = 0.0; ///< wall time in the Riccati sweep(s)
 };
 
 /** iLQR/DDP solver with persistent, reusable workspaces. */
@@ -288,7 +290,13 @@ class IlqrSolver
 
     // Backward-pass workspace (all sized once, reused per knot).
     MatrixX A_, B_;            ///< 2nv x 2nv / 2nv x nv linearization
-    MatrixX Vxx_, Qxx_, Qux_, Quu_, VA_, VB_, QuuK_, KQux_;
+    MatrixX Vxx_, Qxx_, Qux_, Quu_, VA_, QuuK_, KQux_;
+    MatrixX VB_;               ///< bottom rows of Vxx·B (nv x nv)
+    /** A's top half [T_q, T_v] is I / h·I except on the diagonal
+     *  blocks of spherical (3×3) and floating (6×6) joints: one
+     *  {first velocity index, size} per such joint, built once from
+     *  the joint types. */
+    std::vector<std::pair<int, int>> joint_blocks_;
     VectorX Vx_, Qx_, Qu_, tmpu_, tmpx_;
     linalg::Ldlt quu_ldlt_;         ///< nu > 6 factorization
     linalg::SmallLdlt quu_small_;   ///< nu ≤ 6 fast path
@@ -302,6 +310,7 @@ class IlqrSolver
     double reg_ = 0.0;
     double d1_ = 0.0, d2_ = 0.0; ///< expected-decrease coefficients
     bool stalled_ = false; ///< regularization saturated at reg_max
+    double backward_us_ = 0.0; ///< backwardPass wall time this solve
     /** lin_res_ matches the current nominal trajectory; a rejected
      *  iteration leaves it valid, so the retry (higher reg, more
      *  conservative gains) skips the redundant ∆FD batch. */

@@ -134,25 +134,7 @@ void
 Ldlt::solveInPlace(MatrixX &b) const
 {
     assert(b.rows() == l_.rows());
-    const std::size_t n = b.rows();
-    const std::size_t m = b.cols();
-    for (std::size_t c = 0; c < m; ++c) {
-        for (std::size_t i = 0; i < n; ++i) {
-            double s = b(i, c);
-            for (std::size_t j = 0; j < i; ++j)
-                s -= l_(i, j) * b(j, c);
-            b(i, c) = s;
-        }
-        for (std::size_t i = 0; i < n; ++i)
-            b(i, c) /= d_[i];
-        for (std::size_t ii = 0; ii < n; ++ii) {
-            const std::size_t i = n - 1 - ii;
-            double s = b(i, c);
-            for (std::size_t j = i + 1; j < n; ++j)
-                s -= l_(j, i) * b(j, c);
-            b(i, c) = s;
-        }
-    }
+    ldltSolveInPlace(l_.view(), d_.data(), b.mutableView());
 }
 
 bool

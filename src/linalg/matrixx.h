@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "linalg/tiled.h"
 #include "linalg/vec.h"
 
 namespace dadu::linalg {
@@ -44,6 +45,8 @@ class VectorX
     }
 
     std::size_t size() const { return data_.size(); }
+
+    const double *data() const { return data_.data(); }
 
     void resize(std::size_t n) { data_.assign(n, 0.0); }
 
@@ -219,6 +222,27 @@ class MatrixX
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
 
+    /** The whole matrix as a strided view (stride = cols). */
+    ConstMatView view() const
+    {
+        return {data_.data(), rows_, cols_, cols_};
+    }
+    MatView mutableView() { return {data_.data(), rows_, cols_, cols_}; }
+
+    /** The (h × w) block at (r, c) as a strided view. */
+    ConstMatView
+    view(std::size_t r, std::size_t c, std::size_t h, std::size_t w) const
+    {
+        assert(r + h <= rows_ && c + w <= cols_);
+        return {data_.data() + r * cols_ + c, h, w, cols_};
+    }
+    MatView
+    mutableView(std::size_t r, std::size_t c, std::size_t h, std::size_t w)
+    {
+        assert(r + h <= rows_ && c + w <= cols_);
+        return {data_.data() + r * cols_ + c, h, w, cols_};
+    }
+
     void
     resize(std::size_t r, std::size_t c)
     {
@@ -305,17 +329,8 @@ class MatrixX
     MatrixX
     operator*(const MatrixX &o) const
     {
-        assert(cols_ == o.rows_);
-        MatrixX r(rows_, o.cols_);
-        for (std::size_t i = 0; i < rows_; ++i) {
-            for (std::size_t j = 0; j < cols_; ++j) {
-                const double a = (*this)(i, j);
-                if (a == 0.0)
-                    continue;
-                for (std::size_t k = 0; k < o.cols_; ++k)
-                    r(i, k) += a * o(j, k);
-            }
-        }
+        MatrixX r;
+        multiplyInto(o, r);
         return r;
     }
 
@@ -340,23 +355,16 @@ class MatrixX
 
     /**
      * out = (*this) * o without allocating in the steady state.
-     * @p out must not alias either operand. Bitwise identical to
-     * operator* (same zero-skip accumulation order).
+     * @p out must not alias either operand. Runs the tiled
+     * gemmAccumulate from +0.0: each element sums its terms in
+     * ascending order, skipping zero entries of *this.
      */
     void
     multiplyInto(const MatrixX &o, MatrixX &out) const
     {
         assert(cols_ == o.rows_ && &o != &out && this != &out);
         out.resize(rows_, o.cols_);
-        for (std::size_t i = 0; i < rows_; ++i) {
-            for (std::size_t j = 0; j < cols_; ++j) {
-                const double a = (*this)(i, j);
-                if (a == 0.0)
-                    continue;
-                for (std::size_t k = 0; k < o.cols_; ++k)
-                    out(i, k) += a * o(j, k);
-            }
-        }
+        gemmAccumulate(view(), o.view(), out.mutableView());
     }
 
     /**
@@ -419,22 +427,15 @@ class MatrixX
 
     /**
      * out = (*this)ᵀ · o without allocating in the steady state.
-     * @p out must not alias either operand.
+     * @p out must not alias either operand. Same contract as
+     * multiplyInto, through gemmTransposeAccumulate.
      */
     void
     transposeMultiplyInto(const MatrixX &o, MatrixX &out) const
     {
         assert(rows_ == o.rows_ && &o != &out && this != &out);
         out.resize(cols_, o.cols_);
-        for (std::size_t k = 0; k < rows_; ++k) {
-            for (std::size_t i = 0; i < cols_; ++i) {
-                const double v = (*this)(k, i);
-                if (v == 0.0)
-                    continue;
-                for (std::size_t j = 0; j < o.cols_; ++j)
-                    out(i, j) += v * o(k, j);
-            }
-        }
+        gemmTransposeAccumulate(view(), o.view(), out.mutableView());
     }
 
     /** In-place negation of every entry. */

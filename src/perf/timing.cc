@@ -1,5 +1,6 @@
 #include "perf/timing.h"
 
+#include <ctime>
 #include <random>
 #include <vector>
 
@@ -14,19 +15,18 @@ namespace dadu::perf {
 
 using linalg::VectorX;
 
+namespace {
+
+/** CPU time consumed by the calling thread, in microseconds. */
 double
-timeUs(const std::function<void()> &fn, int reps)
+threadCpuUs()
 {
-    fn(); // warm-up
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < reps; ++i)
-        fn();
-    const auto end = std::chrono::steady_clock::now();
-    const double ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-            .count();
-    return ns / reps / 1000.0;
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return ts.tv_sec * 1e6 + ts.tv_nsec / 1000.0;
 }
+
+} // namespace
 
 double
 hostLatencyUs(const RobotModel &robot, FunctionType fn, int tasks,
@@ -40,14 +40,25 @@ hostLatencyUs(const RobotModel &robot, FunctionType fn, int tasks,
         us.push_back(robot.randomVelocity(rng));
     }
     volatile double sink = 0.0;
+    // Best of reps, each rep timed in this thread's CPU time: a
+    // preemption or a co-scheduled process stalls the wall clock but
+    // not the thread's CPU clock, and the minimum drops reps that hit
+    // cold caches.
     auto loop = [&](auto &&body) {
-        return timeUs(
-                   [&] {
-                       for (int i = 0; i < tasks; ++i)
-                           body(i);
-                   },
-                   reps) /
-               tasks;
+        auto pass = [&] {
+            for (int i = 0; i < tasks; ++i)
+                body(i);
+        };
+        pass(); // warm-up
+        double best = 0.0;
+        for (int r = 0; r < reps; ++r) {
+            const double t0 = threadCpuUs();
+            pass();
+            const double us = threadCpuUs() - t0;
+            if (r == 0 || us < best)
+                best = us;
+        }
+        return best / tasks;
     };
     switch (fn) {
       case FunctionType::ID:

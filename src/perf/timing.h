@@ -4,15 +4,12 @@
  *
  * The paper measures Pinocchio with -O3 on real CPUs; here the
  * equivalent is our reference library measured on the build host.
- * These helpers time a callable the way the paper's methodology
- * does: N warm repetitions, wall-clock average per call.
  */
 
 #ifndef DADU_PERF_TIMING_H
 #define DADU_PERF_TIMING_H
 
 #include <chrono>
-#include <functional>
 
 #include "accel/function.h"
 #include "model/robot_model.h"
@@ -36,13 +33,13 @@ nowUs()
            1000.0;
 }
 
-/** Average wall-clock microseconds per call of @p fn over @p reps. */
-double timeUs(const std::function<void()> &fn, int reps);
-
 /**
  * Measured single-thread latency of the reference library for one
  * dynamics function on the host CPU (the paper's "latency" protocol:
- * many different tasks, single thread, averaged).
+ * many different tasks, single thread, averaged per task). Each of
+ * @p reps passes over the tasks is timed in thread CPU time and the
+ * fastest pass is reported, so the result does not depend on what
+ * else the machine runs.
  */
 double hostLatencyUs(const RobotModel &robot, FunctionType fn,
                      int tasks = 32, int reps = 20);

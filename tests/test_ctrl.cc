@@ -10,6 +10,9 @@
  *  - backend equivalence: solver trajectories bitwise-identical
  *    between CpuBatchedBackend and AnalyticBackend numerics (the
  *    control-grade claim of the unified runtime);
+ *  - bitwise pin: cost traces and final controls of every robot x
+ *    scenario solve (plus gated HyQ) equal goldens recorded with the
+ *    dense Riccati sweep;
  *  - zero steady-state allocations in the solve loop (counted
  *    global allocator), on both the SmallLdlt (nv <= 6) and the
  *    Ldlt Riccati paths;
@@ -22,7 +25,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <random>
 
@@ -215,6 +220,189 @@ TEST(Ilqr, TrajectoriesBitwiseIdenticalAcrossCpuAndAnalyticBackends)
         for (int k = 0; k < s_cpu.knots(); ++k)
             expectBitwiseEqual(s_cpu.u(k), s_ana.u(k));
     }
+}
+
+// ---------------------------------------------------------------------
+// Bitwise pin of the solver
+// ---------------------------------------------------------------------
+
+/** FNV-1a over the bit patterns of every control of the horizon. */
+std::uint64_t
+controlChecksum(const ctrl::IlqrSolver &s)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (int k = 0; k < s.knots(); ++k) {
+        for (std::size_t j = 0; j < s.u(k).size(); ++j) {
+            const double v = s.u(k)[j];
+            std::uint64_t b;
+            std::memcpy(&b, &v, sizeof b);
+            h ^= b;
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
+}
+
+std::uint64_t
+bits(double v)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+/**
+ * Golden solves, recorded with the dense Riccati sweep (plain
+ * MatrixX loops, column-wise LDLT solve): the accepted-cost trace as
+ * hex floats, the iteration count and the checksum of the final
+ * controls. The structured, tiled sweep must reproduce every bit.
+ * Dynamics on a 2-thread CpuBatchedBackend (bitwise equal to the
+ * scalar kernels at any thread count).
+ *
+ * The floating-base solves of an AVX2 build (-march=x86-64-v3, CI's
+ * vectorized job) differ from the baseline x86-64 build in the last
+ * bits of the dynamics, with the dense sweep as much as with the
+ * tiled one, so each build checks against the goldens recorded with
+ * its own code generation. Iteration counts agree across both.
+ */
+struct GoldenSolve
+{
+    model::RobotModel (*make)();
+    int scenario;
+    algo::GatingMode gating;
+    int iterations;
+    std::uint64_t control_checksum;
+    std::vector<double> costs;
+};
+
+#if defined(__AVX2__)
+const GoldenSolve kGoldenSolves[] = {
+    {model::makeIiwa, 0, algo::GatingMode::None, 3, 0x6229800cf3405d21ull,
+     {0x1.3f26a7b686ea7p+3, 0x1.3bb91d035ebc7p+2, 0x1.3b635b90ce2d3p+2,
+      0x1.3b635a8cb155p+2}},
+    {model::makeIiwa, 1, algo::GatingMode::None, 6, 0x3983269fb8ca21d1ull,
+     {0x1.bc36023b57733p+8, 0x1.0430591c8d2fp+7, 0x1.42a8927b707f7p+6,
+      0x1.336a4f39cd1ddp+6, 0x1.32bf6fa190b57p+6, 0x1.32bf5db0dae2cp+6,
+      0x1.32bf5d6ebd24cp+6}},
+    {model::makeIiwa, 2, algo::GatingMode::None, 3, 0x925e7824b6bbd812ull,
+     {0x1.08113ec791fa1p+5, 0x1.7e05da8eb16d4p-2, 0x1.d8bb2a8f3e7d2p-3,
+      0x1.d8bb2a07e627ep-3}},
+    {model::makeHyq, 0, algo::GatingMode::None, 7, 0xc304a65714889976ull,
+     {0x1.67b88fb87db62p+9, 0x1.013662848ad64p+4, 0x1.fdf72711418a2p+3,
+      0x1.fdf726baf616dp+3}},
+    {model::makeHyq, 1, algo::GatingMode::None, 5, 0xa35a8da6675daa84ull,
+     {0x1.c75dc5c4c1adap+10, 0x1.20d8c5585aeaap+9, 0x1.1fac8160fb2aap+9,
+      0x1.1fa968e0c78abp+9, 0x1.1fa94f690e7a1p+9, 0x1.1fa94e5b7b7d1p+9}},
+    {model::makeHyq, 2, algo::GatingMode::None, 4, 0x655f81b9aa862046ull,
+     {0x1.6c589eb757428p+9, 0x1.2a766a7ade034p+2, 0x1.23fbbed444088p+2,
+      0x1.23fb9ce84b784p+2, 0x1.23fb9ce103c98p+2}},
+    {model::makeAtlas, 0, algo::GatingMode::None, 10, 0xce7df97fd8fc41a5ull,
+     {0x1.15a5ce49680f5p+10, 0x1.cdeb1dd864a9dp+4, 0x1.c1ef6799ad40ep+4,
+      0x1.c1ec293d41f9ap+4, 0x1.c1ec29359c48fp+4}},
+    {model::makeAtlas, 1, algo::GatingMode::None, 11, 0xd3230163a7b92bdcull,
+     {0x1.9cbafe7d4518ep+11, 0x1.167894e07b9ddp+10, 0x1.9cf2ddbb1d671p+9,
+      0x1.96c5e9a5296a8p+9, 0x1.94eb7e7390f4dp+9, 0x1.94c1bd2e74786p+9,
+      0x1.94b9418f4c7e8p+9, 0x1.94b7934bbcbb5p+9, 0x1.94b72bfc4a32cp+9,
+      0x1.94b7125bbab56p+9, 0x1.94b70a31e71a5p+9, 0x1.94b70825d8b1p+9}},
+    {model::makeAtlas, 2, algo::GatingMode::None, 4, 0x7b0ecd1406d1d254ull,
+     {0x1.11d291b73fa81p+10, 0x1.0bc51a94215efp+3, 0x1.eb47384aac6e4p+2,
+      0x1.eb43342719e28p+2, 0x1.eb433361e528p+2}},
+    {model::makeHyq, 0, algo::GatingMode::Adaptive, 7, 0xc304a65714889976ull,
+     {0x1.67b88fb87db62p+9, 0x1.013662848ad64p+4, 0x1.fdf72711418a2p+3,
+      0x1.fdf726baf616dp+3}},
+};
+constexpr std::uint64_t kGoldenRecedingHash = 0x37e286e576b3a610ull;
+#else
+const GoldenSolve kGoldenSolves[] = {
+    {model::makeIiwa, 0, algo::GatingMode::None, 3, 0x6229800cf3405d21ull,
+     {0x1.3f26a7b686ea7p+3, 0x1.3bb91d035ebc7p+2, 0x1.3b635b90ce2d3p+2,
+      0x1.3b635a8cb155p+2}},
+    {model::makeIiwa, 1, algo::GatingMode::None, 6, 0x3983269fb8ca21d1ull,
+     {0x1.bc36023b57733p+8, 0x1.0430591c8d2fp+7, 0x1.42a8927b707f7p+6,
+      0x1.336a4f39cd1ddp+6, 0x1.32bf6fa190b57p+6, 0x1.32bf5db0dae2cp+6,
+      0x1.32bf5d6ebd24cp+6}},
+    {model::makeIiwa, 2, algo::GatingMode::None, 3, 0x925e7824b6bbd812ull,
+     {0x1.08113ec791fa1p+5, 0x1.7e05da8eb16d4p-2, 0x1.d8bb2a8f3e7d2p-3,
+      0x1.d8bb2a07e627ep-3}},
+    {model::makeHyq, 0, algo::GatingMode::None, 7, 0x62c118ecfa6fdbffull,
+     {0x1.67b88fb87db62p+9, 0x1.013662848ad64p+4, 0x1.fdf72711418a2p+3,
+      0x1.fdf726baf616dp+3}},
+    {model::makeHyq, 1, algo::GatingMode::None, 5, 0x8b21c56684db09d6ull,
+     {0x1.c75dc5c4c1adap+10, 0x1.20d8c5585aeaap+9, 0x1.1fac8160fb2acp+9,
+      0x1.1fa968e0c78acp+9, 0x1.1fa94f690e7a1p+9, 0x1.1fa94e5b7b7d1p+9}},
+    {model::makeHyq, 2, algo::GatingMode::None, 4, 0x86666885ea30b555ull,
+     {0x1.6c589eb757428p+9, 0x1.2a766a7ade034p+2, 0x1.23fbbed444088p+2,
+      0x1.23fb9ce84b784p+2, 0x1.23fb9ce103c98p+2}},
+    {model::makeAtlas, 0, algo::GatingMode::None, 10, 0x882817eee314fceaull,
+     {0x1.15a5ce49680f5p+10, 0x1.cdeb1dd864a9ep+4, 0x1.c1ef6799ad40dp+4,
+      0x1.c1ec293d41f9bp+4, 0x1.c1ec29359c49p+4}},
+    {model::makeAtlas, 1, algo::GatingMode::None, 11, 0x9ceace2cf1c8f708ull,
+     {0x1.9cbafe7d4518ep+11, 0x1.167894e07b9ddp+10, 0x1.9cf2ddbb1d671p+9,
+      0x1.96c5e9a5296a8p+9, 0x1.94eb7e7390f4cp+9, 0x1.94c1bd2e74786p+9,
+      0x1.94b9418f4c7e9p+9, 0x1.94b7934bbcbb5p+9, 0x1.94b72bfc4a32cp+9,
+      0x1.94b7125bbab57p+9, 0x1.94b70a31e71a6p+9, 0x1.94b70825d8b11p+9}},
+    {model::makeAtlas, 2, algo::GatingMode::None, 4, 0x41e07a111f5bef3full,
+     {0x1.11d291b73fa81p+10, 0x1.0bc51a94215efp+3, 0x1.eb47384aac6e2p+2,
+      0x1.eb43342719e2ap+2, 0x1.eb433361e5281p+2}},
+    {model::makeHyq, 0, algo::GatingMode::Adaptive, 7, 0x62c118ecfa6fdbffull,
+     {0x1.67b88fb87db62p+9, 0x1.013662848ad64p+4, 0x1.fdf72711418a2p+3,
+      0x1.fdf726baf616dp+3}},
+};
+constexpr std::uint64_t kGoldenRecedingHash = 0x7d48d9c73c625880ull;
+#endif
+
+TEST(Ilqr, SolvesBitwiseEqualDenseSweepGoldens)
+{
+    for (const GoldenSolve &g : kGoldenSolves) {
+        const RobotModel robot = g.make();
+        runtime::CpuBatchedBackend backend(robot, 2);
+        const ctrl::Scenario sc = ctrl::makeScenario(robot, g.scenario);
+        ctrl::IlqrOptions opts;
+        opts.gating = g.gating;
+        ctrl::IlqrSolver solver(robot, sc.problem, opts);
+        const ctrl::IlqrSummary sum = solver.solve(backend, sc.q0, sc.qd0);
+
+        SCOPED_TRACE(robot.name() + std::string(" / ") + sc.name +
+                     (g.gating == algo::GatingMode::None ? "" : " gated"));
+        EXPECT_EQ(sum.iterations, g.iterations);
+        const std::vector<double> &trace = solver.costTrace();
+        ASSERT_EQ(trace.size(), g.costs.size());
+        for (std::size_t i = 0; i < trace.size(); ++i)
+            EXPECT_EQ(bits(trace[i]), bits(g.costs[i])) << "cost " << i;
+        EXPECT_EQ(controlChecksum(solver), g.control_checksum);
+    }
+}
+
+TEST(Ilqr, GatedRecedingHorizonBitwiseEqualDenseSweepGolden)
+{
+    // HyQ disturbance recovery, 16 knots, Adaptive gating, 60
+    // receding-horizon ticks re-anchored on the predicted next state:
+    // 40 of the 64 linearizations run gated, so the sweep reads the
+    // merged Jacobian caches. Golden from the dense sweep.
+    const RobotModel robot = model::makeHyq();
+    runtime::CpuBatchedBackend backend(robot, 2);
+    const ctrl::Scenario sc = ctrl::makeScenario(robot, 2, 16);
+    ctrl::IlqrOptions opts;
+    opts.gating = algo::GatingMode::Adaptive;
+    ctrl::IlqrSolver solver(robot, sc.problem, opts);
+    ctrl::BackendChannel channel(backend);
+    solver.solve(channel, sc.q0, sc.qd0);
+    std::uint64_t h = 1469598103934665603ull;
+    for (int tick = 0; tick < 60; ++tick) {
+        const VectorX q = solver.q(1);
+        const VectorX qd = solver.qd(1);
+        solver.setInitialState(q, qd);
+        solver.shiftControls();
+        solver.shiftReferences();
+        solver.rolloutNominal(channel);
+        solver.iterate(channel);
+        h ^= bits(solver.cost());
+        h *= 1099511628211ull;
+    }
+    EXPECT_EQ(bits(solver.cost()), bits(0x1.9f3be4e735a09p+2));
+    EXPECT_EQ(h, kGoldenRecedingHash);
+    EXPECT_EQ(solver.gatingStats().gated, 40);
+    EXPECT_EQ(solver.gatingStats().live_columns, 636);
 }
 
 // ---------------------------------------------------------------------

@@ -90,6 +90,10 @@ SPEC = {
         ("schema_version", "exact", None),
         # Every robot x scenario solve must converge, always.
         ("*_converged", "min", 1.0),
+        # The solver's numerics are pinned bitwise (the Riccati sweep
+        # is exact), so a change that moves them shows up as changed
+        # iteration counts.
+        ("*_iters", "exact", None),
         ("serve_deadline_hit_rate", "min", 0.50),
     ],
 }
